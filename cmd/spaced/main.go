@@ -11,7 +11,7 @@
 //
 //	POST /v1/spaces                   build or cache-hit; returns id + build stats
 //	GET  /v1/spaces/{id}              metadata and true parameter bounds
-//	POST /v1/spaces/{id}/contains     O(1) membership tests
+//	POST /v1/spaces/{id}/contains     O(log n) membership tests
 //	POST /v1/spaces/{id}/sample       seeded uniform/stratified/LHS sampling
 //	POST /v1/spaces/{id}/neighbors    hamming/adjacent neighbors
 //	POST /v1/spaces/{id}/sessions     create an ask/tell tuning session

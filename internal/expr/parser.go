@@ -39,10 +39,29 @@ func MustParse(src string) Node {
 	return n
 }
 
+// maxNesting bounds how deeply the recursive forms may nest: parenthesized
+// atoms, list elements, call arguments, not, unary -/+, and the right
+// operand of **. It matches CPython's tokenizer bracket limit (MAXLEVEL)
+// and turns a hostile input into a SyntaxError instead of a goroutine
+// stack overflow, which no recover can catch.
+const maxNesting = 200
+
 type parser struct {
-	src  string
-	toks []token
-	i    int
+	src   string
+	toks  []token
+	i     int
+	depth int
+}
+
+// nested runs parse one nesting level deeper, failing past maxNesting.
+func (p *parser) nested(parse func() (Node, error)) (Node, error) {
+	if p.depth == maxNesting {
+		return nil, p.errorf("expression nested more than %d levels deep", maxNesting)
+	}
+	p.depth++
+	x, err := parse()
+	p.depth--
+	return x, err
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -122,7 +141,7 @@ func (p *parser) parseAnd() (Node, error) {
 
 func (p *parser) parseNot() (Node, error) {
 	if p.acceptKeyword("not") {
-		x, err := p.parseNot()
+		x, err := p.nested(p.parseNot)
 		if err != nil {
 			return nil, err
 		}
@@ -265,14 +284,14 @@ func (p *parser) parseTerm() (Node, error) {
 
 func (p *parser) parseFactor() (Node, error) {
 	if p.acceptOp("-") {
-		x, err := p.parseFactor()
+		x, err := p.nested(p.parseFactor)
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: OpNeg, X: x}, nil
 	}
 	if p.acceptOp("+") {
-		return p.parseFactor()
+		return p.nested(p.parseFactor)
 	}
 	return p.parsePower()
 }
@@ -285,7 +304,7 @@ func (p *parser) parsePower() (Node, error) {
 	if p.acceptOp("**") {
 		// Right-associative, and unary minus binds tighter on the right:
 		// 2 ** -1 is valid.
-		y, err := p.parseFactor()
+		y, err := p.nested(p.parseFactor)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +357,7 @@ func (p *parser) parseAtom() (Node, error) {
 		switch t.text {
 		case "(":
 			p.i++
-			x, err := p.parseOr()
+			x, err := p.nested(p.parseOr)
 			if err != nil {
 				return nil, err
 			}
@@ -366,7 +385,7 @@ func (p *parser) parseTrailer(name string) (Node, error) {
 		var args []Node
 		if !p.acceptOp(")") {
 			for {
-				a, err := p.parseOr()
+				a, err := p.nested(p.parseOr)
 				if err != nil {
 					return nil, err
 				}
@@ -405,7 +424,7 @@ func (p *parser) parseList() (Node, error) {
 		return &List{}, nil
 	}
 	for {
-		e, err := p.parseOr()
+		e, err := p.nested(p.parseOr)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -201,5 +202,29 @@ func TestScientificNotation(t *testing.T) {
 	got := mustEval(t, "1e3 + 2.5e-1", nil)
 	if got.Float() != 1000.25 {
 		t.Errorf("1e3 + 2.5e-1 = %v", got)
+	}
+}
+
+// TestNestingLimit pins maxNesting for every recursive form: nesting to
+// the limit parses, one level more is a SyntaxError rather than a stack
+// overflow.
+func TestNestingLimit(t *testing.T) {
+	forms := map[string]func(n int) string{
+		"parens":  func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) },
+		"list":    func(n int) string { return strings.Repeat("[", n) + "a" + strings.Repeat("]", n) },
+		"call":    func(n int) string { return strings.Repeat("abs(", n) + "a" + strings.Repeat(")", n) },
+		"not":     func(n int) string { return strings.Repeat("not ", n) + "a" },
+		"neg":     func(n int) string { return strings.Repeat("- ", n) + "a" },
+		"pos":     func(n int) string { return strings.Repeat("+ ", n) + "a" },
+		"pow_rhs": func(n int) string { return "a" + strings.Repeat(" ** a", n) },
+	}
+	for name, form := range forms {
+		if _, err := Parse(form(maxNesting)); err != nil {
+			t.Errorf("%s at the limit: %v", name, err)
+		}
+		var se *SyntaxError
+		if _, err := Parse(form(maxNesting + 1)); !errors.As(err, &se) {
+			t.Errorf("%s past the limit: got %v, want a SyntaxError", name, err)
+		}
 	}
 }

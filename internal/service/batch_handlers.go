@@ -15,7 +15,7 @@ import (
 // decode, one tight loop over the zero-alloc lookup kernel, and one
 // encode. A GA evaluating a 10k population pays ~10 HTTP round trips
 // instead of 10k, so the per-request JSON tax stops drowning the
-// O(1) membership path the resolved representation exists to provide.
+// O(log n) membership path the resolved representation exists to provide.
 //
 // All batch requests and responses are columnar or index-based — no
 // per-configuration ConfigDoc maps. Clients that need full value maps

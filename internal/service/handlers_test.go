@@ -289,6 +289,28 @@ func TestMethodsAndCompare(t *testing.T) {
 	}
 }
 
+// TestDeeplyNestedConstraintIs422: a constraint nested far past the
+// parser's limit, well under the body cap, is a 422 and leaves the
+// daemon serving. Unbounded, nesting a few million deep overflows the
+// goroutine stack, which kills the whole process.
+func TestDeeplyNestedConstraintIs422(t *testing.T) {
+	_, ts := newTestServer(t, RegistryConfig{})
+	const depth = 100_000
+	constraint := strings.Repeat("(", depth) + "p > 0" + strings.Repeat(")", depth)
+	deep := fmt.Sprintf(`{"problem": {"name": "deep", "params": [{"name": "p", "values": [1, 2]}], "constraints": [%q]}}`, constraint)
+	var apiErr apiError
+	if code := post(t, ts.URL+"/v1/spaces", deep, &apiErr); code != http.StatusUnprocessableEntity {
+		t.Fatalf("deeply nested constraint: status %d, want 422", code)
+	}
+	if !strings.Contains(apiErr.Error, "nested more than") {
+		t.Fatalf("422 body does not name the nesting limit: %.200s", apiErr.Error)
+	}
+	var built BuildResponse
+	if code := post(t, ts.URL+"/v1/spaces", buildBody("after-deep", ""), &built); code != http.StatusOK || built.Size != 21 {
+		t.Fatalf("build after the rejected one: status %d, size %d", code, built.Size)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, RegistryConfig{})
 

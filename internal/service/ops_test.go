@@ -315,13 +315,24 @@ func TestOpsHammer(t *testing.T) {
 	close(stop)
 	pollers.Wait()
 
+	// The op table must drain once the hammer stops. A build whose
+	// clients all disconnected finishes on its own after they return,
+	// so wait for that before reading the journal.
+	for deadline := time.Now().Add(10 * time.Second); len(srv.Registry().ActiveOps()) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("op table did not drain: %+v", srv.Registry().ActiveOps())
+		}
+	}
+
 	// Zero loss below capacity: everything recorded is still listable.
+	// The count is read before the listing, so the listing covers
+	// everything it counted.
+	var snap MetricsSnapshot
+	get(t, ts.URL+"/v1/stats", &snap)
 	var ev EventsResponse
 	if code := get(t, ts.URL+"/v1/events?n=1024", &ev); code != http.StatusOK {
 		t.Fatalf("GET /v1/events: HTTP %d", code)
 	}
-	var snap MetricsSnapshot
-	get(t, ts.URL+"/v1/stats", &snap)
 	if snap.Events == nil {
 		t.Fatal("stats snapshot has no journal section")
 	}
@@ -357,10 +368,5 @@ func TestOpsHammer(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no build_finish events carried request ids")
-	}
-
-	// The op table must drain once the hammer stops.
-	if ops := srv.Registry().ActiveOps(); len(ops) != 0 {
-		t.Fatalf("op table did not drain: %+v", ops)
 	}
 }

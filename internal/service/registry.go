@@ -1244,29 +1244,22 @@ func (s RegistryStats) String() string {
 }
 
 // EstimateBytes approximates the resident size of a materialized space:
-// the int32 columns, the packed-key row index (key bytes and map
-// overhead), and the per-parameter neighbor partition maps. Partitions
-// are built lazily on the first neighbor query, so counting their full
-// projected cost up front makes the byte budget conservative — a space
-// that never serves neighbor traffic occupies less than charged, never
-// more.
+// the int32 columns and the row index that serves membership and
+// neighbor queries. The index is built lazily on the first such query,
+// so counting it up front makes the byte budget conservative — a space
+// that never serves one occupies less than charged, never more.
 func EstimateBytes(ss *searchspace.SearchSpace) int64 {
 	return int64(estimateResidentBytes(float64(ss.Size()), float64(ss.NumParams())))
 }
 
 // estimateResidentBytes is the sizing model shared by EstimateBytes
 // (measured rows) and EstimatePendingBytes (cartesian upper bound), so
-// cache accounting and admission charging cannot drift apart: the
-// int32 columns, the packed-key row index (key bytes and map
-// overhead), and the per-parameter neighbor partitions (worst case:
-// every row its own group, with a 4*(params-1)-byte key plus map/slice
-// overhead).
+// cache accounting and admission charging cannot drift apart: 4 bytes
+// per row per parameter for the int32 columns, plus 12 bytes per row
+// for the sorted index (a uint64 key and an int32 row).
 func estimateResidentBytes(rows, params float64) float64 {
 	if params < 1 {
 		params = 1
 	}
-	cols := rows * params * 4
-	index := rows * (params*4 + 48)
-	partitions := params * rows * (4 + 4*(params-1) + 48)
-	return cols + index + partitions + 1024
+	return rows*(params*4+12) + 1024
 }

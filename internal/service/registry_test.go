@@ -9,6 +9,7 @@ import (
 
 	"searchspace"
 	"searchspace/internal/model"
+	"searchspace/internal/workloads"
 )
 
 // smallDef returns a quick-to-build definition whose resolved size (21)
@@ -227,6 +228,17 @@ func TestExhaustiveAdmission(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "max-exhaustive-cartesian") {
 			t.Errorf("%v: error should point at the exhaustive limit: %v", m, err)
 		}
+	}
+}
+
+// TestDefaultBudgetAdmitsTwoHotspotBuilds pins the byte model against
+// spaced's default -max-bytes of 4 GiB: two concurrent Hotspot-sized
+// misses must both fit the overcommitted admission budget.
+func TestDefaultBudgetAdmitsTwoHotspotBuilds(t *testing.T) {
+	const spacedDefaultMaxBytes = 4 << 30
+	charge := EstimatePendingBytes(workloads.Hotspot())
+	if budget := int64(spacedDefaultMaxBytes * pendingOvercommit); 2*charge > budget {
+		t.Fatalf("two Hotspot charges of %d bytes exceed the default admission budget of %d", charge, budget)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package space implements the resolved SearchSpace representation of
 // §4.4: once construction has produced every valid configuration, this
-// package stores them column-major, indexes them for O(1) membership and
+// package stores them column-major, indexes them for fast membership and
 // lookup, exposes the true parameter bounds that guide optimization
 // algorithms, and implements the sampling and neighbor operations
 // (uniform, stratified/Latin-Hypercube, Hamming and adjacent neighbors)
@@ -10,7 +10,9 @@ package space
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,30 +23,38 @@ import (
 
 // Space is a fully resolved, immutable search space. All methods are
 // safe for concurrent use (the spaced service shares one Space across
-// request goroutines); the only mutable state is the lazily built
-// neighbor partition cache, which partMu guards.
+// request goroutines); the only state built after construction is the
+// row index, published once under indexOnce.
+//
+// One index serves every membership and neighbor query: each row's
+// per-parameter domain indices are bit-packed into a uint64 key, the
+// keys are kept sorted alongside their rows, and a query packs its
+// configuration (or re-packs one field of a row's key) and
+// binary-searches.
 type Space struct {
 	names   []string
-	nameIdx map[string]int
 	domains [][]value.Value
 	cols    [][]int32
 	n       int
 
-	// index maps the packed per-parameter value indices of a
-	// configuration to its row. It is built lazily on the first lookup
-	// (indexOnce): the O(rows) map construction is a real cost on large
-	// spaces — ~90ms on Hotspot's 348k rows — and a space restored from
-	// a snapshot (or built only to be sampled) may never serve a
-	// membership query at all. sync.Once makes the publication safe
-	// under concurrent queries; the map is immutable once built.
-	indexOnce sync.Once
-	index     map[string]int32
+	// Key layout, fixed at construction. Parameter p's domain index
+	// sits under mask[p], starting at bit shift[p]: ⌈log2 |domain|⌉
+	// bits, with fields in definition order from bit 0 up to width. A
+	// parameter whose field would not fit in 64 bits gets mask 0 and is
+	// listed in spill; rows with equal keys are told apart by comparing
+	// those columns.
+	shift []uint8
+	mask  []uint64
+	spill []int
+	width uint
 
-	// partitions[p] groups rows by the key of all columns except p; it
-	// backs Hamming-distance-1 neighbor queries and is built lazily
-	// under partMu. Each published map is immutable thereafter.
-	partMu     sync.Mutex
-	partitions []map[string][]int32
+	// keys holds every row's key in ascending order and rows the row
+	// each key belongs to: 12 bytes per row. They are built on the
+	// first query (indexOnce), because a space restored from a
+	// snapshot, or built only to be sampled, may never serve one.
+	indexOnce sync.Once
+	keys      []uint64
+	rows      []int32
 }
 
 // FromColumnar wraps solver output into a Space. The columnar data is
@@ -55,31 +65,110 @@ func FromColumnar(def *model.Definition, col *core.Columnar) (*Space, error) {
 	}
 	s := &Space{
 		names:   make([]string, len(def.Params)),
-		nameIdx: make(map[string]int, len(def.Params)),
 		domains: make([][]value.Value, len(def.Params)),
 		cols:    col.Cols,
 		n:       col.NumSolutions(),
+		shift:   make([]uint8, len(def.Params)),
+		mask:    make([]uint64, len(def.Params)),
 	}
 	for i, p := range def.Params {
 		s.names[i] = p.Name
-		s.nameIdx[p.Name] = i
 		s.domains[i] = p.Values
+		w := uint(bits.Len(uint(max(len(p.Values)-1, 0))))
+		if s.width+w > 64 {
+			s.spill = append(s.spill, i)
+			continue
+		}
+		s.shift[i], s.mask[i] = uint8(s.width), (1<<w-1)<<s.width
+		s.width += w
 	}
-	s.partitions = make([]map[string][]int32, len(s.names))
 	return s, nil
 }
 
-// rowIndex returns the packed-key row index, building it on first use.
-func (s *Space) rowIndex() map[string]int32 {
+// index returns the sorted keys and their rows, building them on first
+// use.
+func (s *Space) index() ([]uint64, []int32) {
 	s.indexOnce.Do(func() {
-		idx := make(map[string]int32, s.n)
-		buf := make([]byte, 4*len(s.names))
-		for r := 0; r < s.n; r++ {
-			idx[s.rowKey(buf, int32(r))] = int32(r)
+		keys := make([]uint64, s.n)
+		for p, col := range s.cols {
+			for r, di := range col[:s.n] {
+				keys[r] |= uint64(di) << s.shift[p] & s.mask[p]
+			}
 		}
-		s.index = idx
+		rows := make([]int32, s.n)
+		for r := range rows {
+			rows[r] = int32(r)
+		}
+		s.keys, s.rows = sortByKey(keys, rows, s.width)
 	})
-	return s.index
+	return s.keys, s.rows
+}
+
+// sortByKey orders keys ascending, carrying rows along, and returns the
+// sorted pair. It is an LSD radix sort over the low width bits, one
+// byte per pass: a Table 2 space needs two to four passes.
+func sortByKey(keys []uint64, rows []int32, width uint) ([]uint64, []int32) {
+	tmpKeys, tmpRows := make([]uint64, len(keys)), make([]int32, len(rows))
+	for sh := uint(0); sh < width; sh += 8 {
+		var start [257]int
+		for _, k := range keys {
+			start[k>>sh&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for i, k := range keys {
+			d := k >> sh & 0xff
+			tmpKeys[start[d]], tmpRows[start[d]] = k, rows[i]
+			start[d]++
+		}
+		keys, tmpKeys, rows, tmpRows = tmpKeys, keys, tmpRows, rows
+	}
+	return keys, rows
+}
+
+// key packs a configuration's domain indices. It reports false for a
+// vector of the wrong width or with an index outside its declared
+// domain: packed, such a digit would be cut to its field's bits and
+// could alias a real row.
+func (s *Space) key(idx []int32) (uint64, bool) {
+	if len(idx) != len(s.domains) {
+		return 0, false
+	}
+	var k uint64
+	for p, di := range idx {
+		if uint(di) >= uint(len(s.domains[p])) {
+			return 0, false
+		}
+		k |= uint64(di) << s.shift[p] & s.mask[p]
+	}
+	return k, true
+}
+
+// find is the probe behind every query: it returns the row whose key is
+// k and whose spill columns equal idx's, or -1. keys and rows come from
+// index.
+func (s *Space) find(keys []uint64, rows []int32, k uint64, idx []int32) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m] < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+next:
+	for ; lo < len(keys) && keys[lo] == k; lo++ {
+		r := rows[lo]
+		for _, p := range s.spill {
+			if s.cols[p][r] != idx[p] {
+				continue next
+			}
+		}
+		return int(r)
+	}
+	return -1
 }
 
 // Size returns the number of valid configurations.
@@ -96,46 +185,6 @@ func (s *Space) NumParams() int { return len(s.names) }
 
 // Names returns the parameter names in definition order.
 func (s *Space) Names() []string { return append([]string(nil), s.names...) }
-
-// rowKey packs row r's per-parameter indices into buf as a map key.
-func (s *Space) rowKey(buf []byte, r int32) string {
-	for p := range s.cols {
-		di := s.cols[p][r]
-		buf[4*p] = byte(di)
-		buf[4*p+1] = byte(di >> 8)
-		buf[4*p+2] = byte(di >> 16)
-		buf[4*p+3] = byte(di >> 24)
-	}
-	return string(buf)
-}
-
-// stackKeyBytes is the packed-key size lookups can serve from a stack
-// buffer: 32 parameters covers every workload in the suite (GEMM, the
-// widest, has 17); wider spaces fall back to one heap buffer per call.
-const stackKeyBytes = 128
-
-// keyBuf returns a packed-key buffer for n columns, preferring the
-// caller's stack array.
-func keyBuf(stack *[stackKeyBytes]byte, n int) []byte {
-	if 4*n <= stackKeyBytes {
-		return stack[:4*n]
-	}
-	return make([]byte, 4*n)
-}
-
-// packInto packs a configuration's per-parameter indices into buf
-// without building a string: probing a map with string(buf) directly in
-// the index expression is allocation-free, which matters because the
-// tuner strategies (GA crossover in particular) call Lookup per
-// candidate per generation.
-func packInto(buf []byte, idx []int32) {
-	for p, di := range idx {
-		buf[4*p] = byte(di)
-		buf[4*p+1] = byte(di >> 8)
-		buf[4*p+2] = byte(di >> 16)
-		buf[4*p+3] = byte(di >> 24)
-	}
-}
 
 // Indices returns row r's per-parameter domain indices.
 func (s *Space) Indices(r int) []int32 {
@@ -166,40 +215,33 @@ func (s *Space) RowMap(r int) map[string]value.Value {
 
 // Lookup returns the row holding the configuration with the given
 // per-parameter domain indices, or ok=false when it is not a valid
-// configuration. Allocation-free once the row index is built (for
-// spaces within the stack-key width).
+// configuration. It does not allocate once the index is built: the
+// tuner strategies (GA crossover in particular) call it per candidate
+// per generation.
 func (s *Space) Lookup(idx []int32) (int, bool) {
-	if len(idx) != len(s.cols) {
+	k, ok := s.key(idx)
+	if !ok {
 		return 0, false
 	}
-	var stack [stackKeyBytes]byte
-	buf := keyBuf(&stack, len(s.cols))
-	packInto(buf, idx)
-	r, ok := s.rowIndex()[string(buf)]
-	return int(r), ok
+	keys, rows := s.index()
+	if r := s.find(keys, rows, k, idx); r >= 0 {
+		return r, true
+	}
+	return 0, false
 }
 
 // LookupRows resolves a batch of per-parameter index vectors to rows in
-// one pass: the row index is built (at most) once and a single packed-key
-// buffer is reused across the whole batch, so each element costs one map
-// probe — the bulk form of Lookup that the service's batch endpoints sit
-// on. out[i] is -1 when batch[i] is not a valid configuration (wrong
-// width included).
+// one pass, with one binary search per element: the bulk form of Lookup
+// that the service's batch endpoints sit on. out[i] is -1 when batch[i]
+// is not a valid configuration (wrong width and out-of-domain indices
+// included).
 func (s *Space) LookupRows(batch [][]int32) []int {
 	out := make([]int, len(batch))
-	index := s.rowIndex()
-	var stack [stackKeyBytes]byte
-	buf := keyBuf(&stack, len(s.cols))
+	keys, rows := s.index()
 	for i, idx := range batch {
-		if len(idx) != len(s.cols) {
-			out[i] = -1
-			continue
-		}
-		packInto(buf, idx)
-		if r, ok := index[string(buf)]; ok {
-			out[i] = int(r)
-		} else {
-			out[i] = -1
+		out[i] = -1
+		if k, ok := s.key(idx); ok {
+			out[i] = s.find(keys, rows, k, idx)
 		}
 	}
 	return out
@@ -210,7 +252,7 @@ func (s *Space) LookupValues(vals []value.Value) (int, bool) {
 	if len(vals) != len(s.cols) {
 		return 0, false
 	}
-	var stackIdx [stackKeyBytes / 4]int32
+	var stackIdx [32]int32
 	var idx []int32
 	if len(vals) <= len(stackIdx) {
 		idx = stackIdx[:len(vals)]
@@ -248,18 +290,26 @@ type Bounds struct {
 	DistinctValues int
 }
 
+// active reports, per declared domain index of parameter p, whether the
+// value occurs in at least one valid configuration.
+func (s *Space) active(p int) []bool {
+	seen := make([]bool, len(s.domains[p]))
+	for _, di := range s.cols[p][:s.n] {
+		seen[di] = true
+	}
+	return seen
+}
+
 // TrueBounds computes per-parameter bounds over the valid configurations.
 func (s *Space) TrueBounds() []Bounds {
 	out := make([]Bounds, len(s.names))
 	for p, name := range s.names {
 		b := Bounds{Name: name, Min: math.Inf(1), Max: math.Inf(-1), Numeric: true}
-		seen := make(map[int32]struct{})
-		for r := 0; r < s.n; r++ {
-			di := s.cols[p][r]
-			if _, dup := seen[di]; dup {
+		for di, ok := range s.active(p) {
+			if !ok {
 				continue
 			}
-			seen[di] = struct{}{}
+			b.DistinctValues++
 			v := s.domains[p][di]
 			if !v.IsNumeric() {
 				b.Numeric = false
@@ -273,7 +323,6 @@ func (s *Space) TrueBounds() []Bounds {
 				b.Max = f
 			}
 		}
-		b.DistinctValues = len(seen)
 		out[p] = b
 	}
 	return out
@@ -282,22 +331,15 @@ func (s *Space) TrueBounds() []Bounds {
 // ActiveValues returns the distinct values of the named parameter that
 // occur in at least one valid configuration, in domain order.
 func (s *Space) ActiveValues(name string) ([]value.Value, bool) {
-	p, ok := s.nameIdx[name]
-	if !ok {
+	p := slices.Index(s.names, name)
+	if p < 0 {
 		return nil, false
 	}
-	seen := make(map[int32]struct{})
-	for r := 0; r < s.n; r++ {
-		seen[s.cols[p][r]] = struct{}{}
-	}
-	dis := make([]int, 0, len(seen))
-	for di := range seen {
-		dis = append(dis, int(di))
-	}
-	sort.Ints(dis)
-	out := make([]value.Value, len(dis))
-	for i, di := range dis {
-		out[i] = s.domains[p][di]
+	out := []value.Value{}
+	for di, ok := range s.active(p) {
+		if ok {
+			out = append(out, s.domains[p][di])
+		}
 	}
 	return out, true
 }
@@ -359,32 +401,19 @@ func (s *Space) SampleLHS(rng *rand.Rand, k int) []int {
 		return rng.Perm(s.n)
 	}
 	p := len(s.names)
-	// Per-parameter active positions (sorted domain indices in use).
-	active := make([][]int32, p)
+	// posOf[pi][domainIdx] = rank among the parameter's active values;
+	// span[pi] = the number of active values.
+	posOf := make([][]int, p)
+	span := make([]float64, p)
 	for pi := 0; pi < p; pi++ {
-		seen := make(map[int32]struct{})
-		for r := 0; r < s.n; r++ {
-			seen[s.cols[pi][r]] = struct{}{}
+		seen := s.active(pi)
+		posOf[pi] = make([]int, len(seen))
+		for di, ok := range seen {
+			if ok {
+				posOf[pi][di] = int(span[pi])
+				span[pi]++
+			}
 		}
-		dis := make([]int, 0, len(seen))
-		for di := range seen {
-			dis = append(dis, int(di))
-		}
-		sort.Ints(dis)
-		cols := make([]int32, len(dis))
-		for i, di := range dis {
-			cols[i] = int32(di)
-		}
-		active[pi] = cols
-	}
-	// posOf[pi][domainIdx] = rank within active values.
-	posOf := make([]map[int32]int, p)
-	for pi := 0; pi < p; pi++ {
-		m := make(map[int32]int, len(active[pi]))
-		for rank, di := range active[pi] {
-			m[di] = rank
-		}
-		posOf[pi] = m
 	}
 	// LHS targets: one stratum per sample per dimension, permuted.
 	targets := make([][]float64, k)
@@ -410,8 +439,7 @@ func (s *Space) SampleLHS(rng *rand.Rand, k int) []int {
 			}
 			d := 0.0
 			for pi := 0; pi < p; pi++ {
-				span := float64(len(active[pi]))
-				pos := (float64(posOf[pi][s.cols[pi][r]]) + 0.5) / span
+				pos := (float64(posOf[pi][s.cols[pi][r]]) + 0.5) / span[pi]
 				d += math.Abs(pos - targets[i][pi])
 			}
 			if d < bestDist {
@@ -426,89 +454,39 @@ func (s *Space) SampleLHS(rng *rand.Rand, k int) []int {
 	return out
 }
 
-// partition lazily builds the all-but-one-column row grouping for
-// parameter p. The mutex makes first-build-wins publication safe under
-// concurrent neighbor queries; callers read the returned map without
-// locking because published maps are never mutated.
-func (s *Space) partition(p int) map[string][]int32 {
-	s.partMu.Lock()
-	defer s.partMu.Unlock()
-	if s.partitions[p] != nil {
-		return s.partitions[p]
-	}
-	m := make(map[string][]int32)
-	buf := make([]byte, 4*(len(s.cols)-1))
-	for r := 0; r < s.n; r++ {
-		k := 0
-		for q := range s.cols {
-			if q == p {
-				continue
-			}
-			di := s.cols[q][r]
-			buf[4*k] = byte(di)
-			buf[4*k+1] = byte(di >> 8)
-			buf[4*k+2] = byte(di >> 16)
-			buf[4*k+3] = byte(di >> 24)
-			k++
-		}
-		key := string(buf)
-		m[key] = append(m[key], int32(r))
-	}
-	s.partitions[p] = m
-	return m
-}
-
 // HammingNeighbors returns the rows that differ from row r in exactly one
 // parameter (any value), the neighborhood used by the genetic algorithm's
 // mutation step.
-func (s *Space) HammingNeighbors(r int) []int {
-	var out []int
-	var stack [stackKeyBytes]byte
-	buf := keyBuf(&stack, len(s.cols)-1)
-	for p := range s.cols {
-		k := 0
-		for q := range s.cols {
-			if q == p {
-				continue
-			}
-			di := s.cols[q][int32(r)]
-			buf[4*k] = byte(di)
-			buf[4*k+1] = byte(di >> 8)
-			buf[4*k+2] = byte(di >> 16)
-			buf[4*k+3] = byte(di >> 24)
-			k++
-		}
-		for _, cand := range s.partition(p)[string(buf)] {
-			if int(cand) != r {
-				out = append(out, int(cand))
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+func (s *Space) HammingNeighbors(r int) []int { return s.neighbors(r, false) }
 
 // AdjacentNeighbors returns the rows that differ from row r in exactly
 // one parameter by exactly one position in that parameter's declared
 // value order (the "adjacent" neighborhood of Kernel Tuner's local-search
 // strategies).
-func (s *Space) AdjacentNeighbors(r int) []int {
+func (s *Space) AdjacentNeighbors(r int) []int { return s.neighbors(r, true) }
+
+// neighbors probes, for each parameter, every other domain index (or
+// only the two adjacent ones) in place of row r's, re-packing that one
+// field of r's key. The result is sorted by row.
+func (s *Space) neighbors(r int, adjacent bool) []int {
+	keys, rows := s.index()
 	idx := s.Indices(r)
-	var stack [stackKeyBytes]byte
-	buf := keyBuf(&stack, len(s.cols))
-	index := s.rowIndex()
+	base, _ := s.key(idx)
 	var out []int
-	for p := range s.cols {
+	for p, dom := range s.domains {
 		orig := idx[p]
-		for _, delta := range [2]int32{-1, 1} {
-			cand := orig + delta
-			if cand < 0 || int(cand) >= len(s.domains[p]) {
+		lo, hi := int32(0), int32(len(dom)-1)
+		if adjacent {
+			lo, hi = max(orig-1, lo), min(orig+1, hi)
+		}
+		for v := lo; v <= hi; v++ {
+			if v == orig {
 				continue
 			}
-			idx[p] = cand
-			packInto(buf, idx)
-			if row, ok := index[string(buf)]; ok {
-				out = append(out, int(row))
+			idx[p] = v
+			k := base&^s.mask[p] | uint64(v)<<s.shift[p]&s.mask[p]
+			if nb := s.find(keys, rows, k, idx); nb >= 0 {
+				out = append(out, nb)
 			}
 		}
 		idx[p] = orig

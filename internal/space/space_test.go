@@ -2,6 +2,7 @@ package space
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -284,22 +285,34 @@ func TestNeighborsSortedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentNeighborQueries exercises the lazily built partition
-// cache from many goroutines; run with -race to catch unsynchronized
+// TestConcurrentNeighborQueries races the row index's first use from
+// every query kind at once; run with -race to catch unsynchronized
 // publication (the spaced service shares one Space across requests).
 func TestConcurrentNeighborQueries(t *testing.T) {
-	s := buildSpace(t, gridDef())
+	s, ref := buildSpace(t, gridDef()), buildSpace(t, gridDef())
+	queries := []func(r int) bool{
+		func(r int) bool { got, ok := s.Lookup(s.Indices(r)); return ok && got == r },
+		func(r int) bool { return s.LookupRows([][]int32{s.Indices(r)})[0] == r },
+		func(r int) bool { return slices.Equal(s.HammingNeighbors(r), ref.HammingNeighbors(r)) },
+		func(r int) bool { return slices.Equal(s.AdjacentNeighbors(r), ref.AdjacentNeighbors(r)) },
+	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		query := queries[g%len(queries)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			for r := 0; r < s.Size(); r++ {
-				s.HammingNeighbors(r)
-				s.AdjacentNeighbors(r)
+				if !query(r) {
+					t.Errorf("query kind %d disagrees on row %d", g%len(queries), r)
+					return
+				}
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 }
 
@@ -338,10 +351,13 @@ func TestLookupRowsBulk(t *testing.T) {
 		batch = append(batch, s.Indices(r))
 		want = append(want, r)
 	}
-	// An invalid combination (6*6 > 18), an out-of-range index, and a
-	// wrong-width vector all resolve to -1 without disturbing neighbors.
-	batch = append(batch, []int32{5, 5}, []int32{99, 0}, []int32{1})
-	want = append(want, -1, -1, -1)
+	// An invalid combination (6*6 > 18), out-of-range indices (the -1
+	// that batch contains writes for an unknown value, and one equal to
+	// the domain size), and a wrong-width vector all resolve to -1
+	// without disturbing neighbors.
+	batch = append(batch, []int32{5, 5}, []int32{99, 0}, []int32{-1, 0}, []int32{0, -1},
+		[]int32{6, 0}, []int32{0, 6}, []int32{1})
+	want = append(want, -1, -1, -1, -1, -1, -1, -1)
 	got := s.LookupRows(batch)
 	if len(got) != len(want) {
 		t.Fatalf("LookupRows returned %d rows, want %d", len(got), len(want))

@@ -5,7 +5,7 @@
 // (Willemsen, van Nieuwpoort, van Werkhoven; ICPP '25): tunable
 // parameters with finite value lists plus Python-style constraint
 // expressions are resolved — by an optimized all-solutions CSP solver —
-// into a fully materialized SearchSpace that supports O(1) membership
+// into a fully materialized SearchSpace that supports O(log n) membership
 // tests, true parameter bounds, uniform / stratified / Latin-Hypercube
 // sampling, and neighbor queries for optimization algorithms.
 //

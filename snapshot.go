@@ -10,7 +10,7 @@ import (
 
 // This file is the stable encode/decode surface of a materialized
 // SearchSpace: the columnar solver output is the complete resolved
-// state (everything else — index, partitions, bounds — is derivable),
+// state (everything else — row index, bounds — is derivable),
 // so (definition, columns) round-trips a space without re-running any
 // solver. internal/store builds its binary snapshot format on exactly
 // this pair.

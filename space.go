@@ -145,8 +145,7 @@ func (ss *SearchSpace) Lookup(idx []int32) (int, bool) {
 
 // LookupRows resolves a batch of genotypes (per-parameter index vectors,
 // the form Indices returns and optimizers recombine) to rows in one
-// call. The row index is built at most once and one key buffer serves
-// the whole batch, so per-element cost is a single map probe. Element i
+// call, at one binary search of the row index per element. Element i
 // is -1 when batch[i] is not a valid configuration.
 func (ss *SearchSpace) LookupRows(batch [][]int32) []int {
 	return ss.s.LookupRows(batch)
