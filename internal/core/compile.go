@@ -21,13 +21,17 @@ type entry struct {
 
 // state is the solver's mutable assignment: value, float, and integer
 // views indexed by problem variable index, the reusable output row, the
-// walk's trial stack, and a scratch buffer for Go-func constraints.
+// walk's trial stack, and a scratch buffer for Go-func constraints. pos
+// and surv, indexed by depth, hold the columnar walk's assigned domain
+// positions and the candidate lists it iterates (see depthPlan).
 type state struct {
 	vals    []value.Value
 	nums    []float64
 	ints    []int64
 	idx     []int32
 	trial   []int
+	pos     []int
+	surv    [][]int32
 	scratch []value.Value
 }
 
@@ -40,6 +44,8 @@ func (c *Compiled) newState() *state {
 		ints:    make([]int64, n),
 		idx:     make([]int32, n),
 		trial:   make([]int, n),
+		pos:     make([]int, n),
+		surv:    make([][]int32, n),
 		scratch: make([]value.Value, c.maxArgs),
 	}
 }
@@ -62,10 +68,14 @@ type Compiled struct {
 	// every variable at depth >= tailStart is unconstrained, so the
 	// kernel emits those depths as bulk cartesian blocks.
 	tailStart int
-	empty     bool
-	maxArgs   int
-	cons      []*constraint
-	opt       Options
+	// plan[d], for each depth below tailStart, is how the columnar
+	// kernel walks depth d: survivor tables and cut-offs derived from
+	// prog[d] (plan.go).
+	plan    []depthPlan
+	empty   bool
+	maxArgs int
+	cons    []*constraint
+	opt     Options
 	// Memoized closure form of the checks for the reference enumerator
 	// (ref.go); never touched on the kernel's hot path.
 	refOnce sync.Once
@@ -206,6 +216,7 @@ func (p *Problem) Compile(opt Options) *Compiled {
 			c.tailStart = d + 1
 		}
 	}
+	c.buildPlan()
 	return c
 }
 

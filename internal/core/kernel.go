@@ -22,10 +22,13 @@ import (
 // the deepest depth that carries any instruction, the remaining
 // variables are unconstrained, so the kernel emits the full cartesian
 // block of their domains straight into columnar storage as
-// repeated/tiled index runs instead of visiting every node. Emission
-// order is exactly the order the per-node walk would have produced, so
-// output stays byte-identical (the contract the golden parity suite and
-// the service's compare checksums verify).
+// repeated/tiled index runs instead of visiting every node; a one-row
+// block writes one cell per column. The constrained depths above the
+// tail follow the walk plan (plan.go): survivor tables and monotone
+// cut-offs skip only values the instruction tables would reject.
+// Emission order is exactly the order the per-node walk would have
+// produced, so output stays byte-identical (the contract the golden
+// parity suite and the service's compare checksums verify).
 
 // opCode selects one typed instruction shape.
 type opCode uint8
@@ -115,7 +118,7 @@ type instr struct {
 	bound  float64
 	hi     float64 // opSumFeas: upper completion bound (lo lives in base)
 	base   float64 // accumulator seed: completion term, 1 for products, lo for opSumFeas
-	vars   []int   // problem variable indices read by the instruction
+	vars   []int   // problem variable indices read by the instruction (every op)
 	coeffs []float64
 	num    []numInstr // opNumCmp: RPN program leaving the chain operands on the stack
 	cmpOps []expr.Op  // opNumCmp: comparison links between adjacent operands
@@ -513,11 +516,12 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 		return instr{op: opAllEqual, vars: con.argIdx}
 	case conFunc:
 		if ins, ok := tryNumCmp(con.node, nameIdx, doms); ok {
+			ins.vars = con.vars
 			return ins
 		}
-		return instr{op: opPred, pred: con.pred}
+		return instr{op: opPred, vars: con.vars, pred: con.pred}
 	case conUnary:
-		return instr{op: opPred, pred: con.pred}
+		return instr{op: opPred, vars: con.vars, pred: con.pred}
 	case conGoFunc:
 		return instr{op: opGoFunc, vars: con.argIdx, goFn: con.goFn}
 	}
@@ -527,12 +531,13 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 }
 
 // EnumStats reports how one columnar enumeration executed. Nodes counts
-// the constrained walk's loop iterations (value trials plus domain-
-// exhausted pops — the same accounting the pre-kernel walk used for its
-// stop polling), Blocks the bulk tail expansions, and BlockRows the
-// rows those blocks emitted without per-node visits. The pre-kernel
-// walk's equivalent of Nodes is what SolveColumnarRef reports, so
-// before/after node-visit comparisons are apples to apples.
+// the constrained walk's loop iterations: candidates tried plus
+// exhausted-list pops (a cut-off ends a depth without a pop). Blocks
+// counts the bulk tail expansions, and BlockRows the rows those blocks
+// emitted without per-node visits. Survivor tables and cut-offs skip
+// values outright, so Nodes is below what SolveColumnarRef counts for
+// the same space: that count is the plain walk's, not a like-for-like
+// baseline.
 type EnumStats struct {
 	Nodes     int64
 	Blocks    int64
@@ -646,6 +651,19 @@ func (c *Compiled) emitBlock(snk *sink, idx []int32, blockStart int, blockRows i
 	rows := int(blockRows)
 	snk.ensure(rows)
 	base := snk.rows
+	if rows == 1 {
+		// A single-valued tail (common: fixed parameters sort last)
+		// makes every block one row; write one cell per column.
+		for d, vi := range c.order {
+			v := idx[vi]
+			if d >= blockStart {
+				v = c.doms[d][0].orig
+			}
+			snk.buf[vi*snk.capRows+base] = v
+		}
+		snk.rows++
+		return
+	}
 	n := len(c.order)
 	for d := 0; d < blockStart; d++ {
 		vi := c.order[d]
@@ -675,9 +693,9 @@ func (c *Compiled) emitBlock(snk *sink, idx []int32, blockStart int, blockRows i
 }
 
 // enumColumnar is the columnar enumeration kernel: it pins the first
-// len(pfx) solve-order variables (running their instruction tables,
-// exactly as a sequential walk reaching that prefix would), walks the
-// constrained depths with the instruction-table dispatch, and emits
+// len(pfx) solve-order variables (running their full instruction
+// tables, exactly as a sequential walk reaching that prefix would),
+// walks the constrained depths by the walk plan, and emits
 // every subtree below the deepest constrained depth as one bulk
 // cartesian block. st is caller-owned scratch reused across calls; stop
 // is polled every few thousand loop iterations AND charged per emitted
@@ -696,6 +714,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		st.nums[vi] = e.num
 		st.ints[vi] = e.i
 		st.idx[vi] = e.orig
+		st.pos[d] = pfx[d]
 		if !runProg(c.prog[d], st) {
 			return false
 		}
@@ -736,6 +755,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 	trial := st.trial
 	depth := k
 	trial[depth] = -1
+	st.surv[depth] = c.plan[depth].survivors(st.pos)
 	// nodes is the stop-pacing charge: walked loop iterations PLUS each
 	// emitted block's whole subtree, so cancellation latency matches the
 	// per-node walk. blocks is subtracted back out at the end so
@@ -769,19 +789,29 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			nextPoll = nodes + stopCheckMask + 1
 		}
 		nodes++
-		dom := c.doms[depth]
+		// trial indexes the depth's survivor list, which holds domain
+		// positions; see depthPlan.
 		trial[depth]++
-		if trial[depth] >= len(dom) {
+		cand := st.surv[depth]
+		if trial[depth] >= len(cand) {
 			depth--
 			continue
 		}
+		p := int(cand[trial[depth]])
+		st.pos[depth] = p
 		vi := c.order[depth]
-		e := &dom[trial[depth]]
+		e := &c.doms[depth][p]
 		st.vals[vi] = e.val
 		st.nums[vi] = e.num
 		st.ints[vi] = e.i
 		st.idx[vi] = e.orig
-		if prog := c.prog[depth]; len(prog) != 0 && !runProg(prog, st) {
+		pl := &c.plan[depth]
+		if len(pl.cut) != 0 && !runProg(pl.cut, st) {
+			// Every later candidate fails this check too.
+			depth--
+			continue
+		}
+		if len(pl.prog) != 0 && !runProg(pl.prog, st) {
 			continue
 		}
 		if depth == blockStart-1 {
@@ -796,6 +826,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		}
 		depth++
 		trial[depth] = -1
+		st.surv[depth] = c.plan[depth].survivors(st.pos)
 	}
 	if es != nil {
 		es.Nodes += nodes - blocks*tailNodes

@@ -35,11 +35,11 @@ type RowFilter struct {
 	doms    [][]entry // declared-domain entry tables by variable index
 }
 
-// memoTableMax bounds the cartesian product of a constraint's declared
-// domains for it to be pre-evaluated into a truth table. Delta
-// constraints are typically unary or binary, so their tuple spaces are
-// tiny (tens of cells); the cap only keeps pathological wide
-// constraints on the interpreter path.
+// memoTableMax bounds the tuple space pre-evaluated into one table: a
+// delta constraint's truth table here, a depth's survivor table in the
+// walk plan (plan.go). Delta constraints are typically unary or binary,
+// so their tuple spaces are tiny (tens of cells); the cap only keeps
+// pathological wide constraints on the interpreter path.
 const memoTableMax = 1 << 12
 
 // memoCheck is one delta constraint pre-evaluated over the cartesian
@@ -100,18 +100,12 @@ func (p *Problem) CompileRestrict() *RowFilter {
 // interpreting the constraint per row. Declines (ok=false) when the
 // tuple space exceeds memoTableMax.
 func memoize(con *constraint, doms [][]entry, nameIdx map[string]int) (memoCheck, bool) {
-	prod := 1
 	sizes := make([]int32, len(con.vars))
-	for j, vi := range con.vars {
-		sz := len(doms[vi])
-		if sz == 0 || prod > memoTableMax/sz {
-			return memoCheck{}, false
-		}
-		prod *= sz
-		sizes[j] = int32(sz)
-	}
+	tdoms := make([][]entry, len(con.vars))
 	nvars := 0
-	for _, vi := range con.vars {
+	for j, vi := range con.vars {
+		tdoms[j] = doms[vi]
+		sizes[j] = int32(len(doms[vi]))
 		if vi >= nvars {
 			nvars = vi + 1
 		}
@@ -123,18 +117,9 @@ func memoize(con *constraint, doms [][]entry, nameIdx map[string]int) (memoCheck
 		scratch: make([]value.Value, len(con.argIdx)),
 	}
 	prog := []instr{fullInstr(con, doms, nameIdx)}
-	table := make([]bool, prod)
-	for idx := range table {
-		rem := idx
-		for j := len(con.vars) - 1; j >= 0; j-- {
-			vi := con.vars[j]
-			e := &doms[vi][rem%int(sizes[j])]
-			rem /= int(sizes[j])
-			st.vals[vi] = e.val
-			st.nums[vi] = e.num
-			st.ints[vi] = e.i
-		}
-		table[idx] = runProg(prog, st)
+	var table []bool
+	if !eachTuple(con.vars, tdoms, st, func(int) { table = append(table, runProg(prog, st)) }) {
+		return memoCheck{}, false
 	}
 	return memoCheck{vars: con.vars, sizes: sizes, table: table}, true
 }

@@ -32,9 +32,10 @@ const stopCheckMask = 8192 - 1
 // cancels.
 //
 // ForEachStop visits every node and yields one row at a time — that is
-// its contract (callers break early, count, or stream). Bulk tail
-// expansion applies to the columnar solvers, where output is storage,
-// not control flow.
+// its contract (callers break early, count, or stream). It runs the
+// full instruction tables on the plain walk: bulk tail expansion and
+// the walk plan's survivor tables and cut-offs apply to the columnar
+// solvers, where output is storage, not control flow.
 func (c *Compiled) ForEachStop(stop func() bool, yield func(idx []int32) bool) (canceled bool) {
 	if c.empty || len(c.order) == 0 {
 		return false
