@@ -310,6 +310,27 @@ func benchSolveColumnar(b *testing.B, def *model.Definition, ref bool) {
 	}
 }
 
+// BenchmarkSolveColumnarSuite runs the columnar kernel over the eight
+// Table 2 spaces per op, so `-benchtime 1x` exercises the whole output
+// path (pooled chunks, leaf batches, the exact-size copy) on every
+// space.
+func BenchmarkSolveColumnarSuite(b *testing.B) {
+	defs := workloads.RealWorld()
+	compiled := make([]*core.Compiled, len(defs))
+	for i, def := range defs {
+		compiled[i] = compiledFor(b, def)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, c := range compiled {
+			if c.SolveColumnar().NumSolutions() == 0 {
+				b.Fatalf("%s: empty space", defs[j].Name)
+			}
+		}
+	}
+}
+
 func BenchmarkForEachHotspot(b *testing.B) { benchForEach(b, workloads.Hotspot()) }
 func BenchmarkForEachGEMM(b *testing.B)    { benchForEach(b, workloads.GEMM()) }
 

@@ -24,15 +24,19 @@ type entry struct {
 // walk's trial stack, and a scratch buffer for Go-func constraints. pos
 // and surv, indexed by depth, hold the columnar walk's assigned domain
 // positions and the candidate lists it iterates (see depthPlan).
+// batched and declined tally leaf-depth entries emitted as one batch and
+// entries walked per node because a batch would have crossed a poll
+// point; the plan tests read them.
 type state struct {
-	vals    []value.Value
-	nums    []float64
-	ints    []int64
-	idx     []int32
-	trial   []int
-	pos     []int
-	surv    [][]int32
-	scratch []value.Value
+	vals              []value.Value
+	nums              []float64
+	ints              []int64
+	idx               []int32
+	trial             []int
+	pos               []int
+	surv              [][]int32
+	scratch           []value.Value
+	batched, declined int
 }
 
 // newState allocates one enumeration's (or one worker's) scratch state.

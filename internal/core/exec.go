@@ -11,8 +11,9 @@ import (
 // few thousand charged nodes) and at each task boundary, so a reader
 // polling the atomics sees a build move in near real time without the
 // kernel taking any lock. Nodes counts charged node visits — walked
-// loop iterations plus each bulk block's whole subtree, the same
-// accounting the stop pacing uses — and Rows counts emitted solution
+// loop iterations plus each bulk block's whole subtree, with a leaf
+// batch charged as the per-node walk over it; the same accounting the
+// stop pacing uses — and Rows counts emitted solution
 // rows. Both only ever grow; a canceled run stops adding but never
 // subtracts.
 type ProgressSink struct {
@@ -162,10 +163,10 @@ func (c *Compiled) splitPrefix(workers int) (k, tasks int) {
 // worker count: the search tree is split along the first k solve-order
 // variables into prefix tasks, idle workers claim the next unclaimed
 // task from the shared queue (dynamic scheduling, so an imbalanced
-// split still uses every worker), and per-task buckets are merged in
-// lexicographic prefix order — exactly the sequential enumeration
-// order. The canceled return reports a run abandoned by Stop; its
-// partial columnar must be discarded.
+// split still uses every worker), and the tasks' rows are copied once,
+// in lexicographic prefix order — exactly the sequential enumeration
+// order — into one exactly sized backing. The canceled return reports a
+// run abandoned by Stop; it carries no rows.
 //
 // python-constraint 2 gained a ParallelSolver as part of the same
 // optimization effort this package reproduces; goroutines over a shared
@@ -174,17 +175,14 @@ func (c *Compiled) splitPrefix(workers int) (k, tasks int) {
 func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 	workers := ex.EffectiveWorkers()
 	if c.empty || len(c.order) == 0 {
-		return &Columnar{
-			Names: append([]string(nil), c.names...),
-			Cols:  make([][]int32, len(c.names)),
-		}, false
+		return c.newColumnar(0), false
 	}
 	k, tasks := c.splitPrefix(workers)
 	if workers == 1 || tasks <= 1 {
 		if ex.OnProgress != nil {
 			ex.OnProgress(0, 1)
 		}
-		col, canceled := c.solveColumnarSink(ex.Stop, ex.Sink)
+		col, _, canceled := c.SolveColumnarStatsSink(ex.Stop, ex.Sink)
 		if !canceled && ex.OnProgress != nil {
 			ex.OnProgress(1, 1)
 		}
@@ -198,23 +196,33 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 		radix[d] = len(c.doms[d])
 	}
 
-	// Per-task buckets hold exactly-sized copies of each task's rows;
-	// the worker's sink (reused across its tasks, capacity retained) is
-	// where the enumeration itself lands, so parallel builds stop
-	// re-growing per-task slices from scratch.
-	buckets := make([]*Columnar, tasks)
+	// Every worker enumerates all its tasks into one sink, and each task
+	// records the row range it filled there; the final copy visits the
+	// ranges in task order.
+	type taskRows struct {
+		snk        *sink
+		start, end int
+	}
+	spans := make([]taskRows, tasks)
 	type prefixWorker struct {
 		st  *state
 		pfx []int
 		snk *sink
 	}
+	var mu sync.Mutex
+	var sinks []*sink
+	defer func() {
+		for _, s := range sinks {
+			s.reset()
+		}
+	}()
 	n := len(c.order)
 	canceled := ex.ForEachTask(tasks, func() any {
-		return &prefixWorker{
-			st:  c.newState(),
-			pfx: make([]int, k),
-			snk: newSink(n),
-		}
+		snk := newSink(n)
+		mu.Lock()
+		sinks = append(sinks, snk)
+		mu.Unlock()
+		return &prefixWorker{st: c.newState(), pfx: make([]int, k), snk: snk}
 	}, func(w any, t int, stop func() bool) bool {
 		pw := w.(*prefixWorker)
 		rem := int64(t)
@@ -222,40 +230,30 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 			pw.pfx[d] = int(rem % int64(radix[d]))
 			rem /= int64(radix[d])
 		}
-		pw.snk.reset(n)
+		start := pw.snk.rows
 		if c.enumColumnar(pw.snk, pw.pfx, pw.st, stop, nil, ex.Sink) {
 			return true
 		}
-		buckets[t] = pw.snk.takeColumnar()
+		spans[t] = taskRows{pw.snk, start, pw.snk.rows}
 		return false
 	})
-
-	out := &Columnar{
-		Names: append([]string(nil), c.names...),
-		Cols:  make([][]int32, len(c.names)),
-	}
 	if canceled {
-		return out, true
+		return c.newColumnar(0), true
 	}
 	total := 0
-	for _, b := range buckets {
-		if b != nil {
-			total += b.NumSolutions()
-		}
+	for _, sp := range spans {
+		total += sp.end - sp.start
 	}
-	// Single final merge into one shared backing array (one allocation
-	// for all columns), buckets in ascending task order — lexicographic
-	// prefix order, i.e. exactly the sequential enumeration order.
-	backing := make([]int32, len(out.Cols)*total)
-	for vi := range out.Cols {
-		col := backing[vi*total : (vi+1)*total : (vi+1)*total]
-		off := 0
-		for _, b := range buckets {
-			if b != nil {
-				off += copy(col[off:], b.Cols[vi])
-			}
+	// One copy into one exact backing, ranges in ascending task order —
+	// lexicographic prefix order, i.e. exactly the sequential
+	// enumeration order.
+	out := c.newColumnar(total)
+	at := 0
+	for _, sp := range spans {
+		if sp.end > sp.start {
+			sp.snk.copyRows(out.Cols, at, sp.start, sp.end)
+			at += sp.end - sp.start
 		}
-		out.Cols[vi] = col
 	}
 	return out, false
 }

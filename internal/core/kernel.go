@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"sort"
+	"sync"
 
 	"searchspace/internal/expr"
 	"searchspace/internal/value"
@@ -25,10 +27,16 @@ import (
 // repeated/tiled index runs instead of visiting every node; a one-row
 // block writes one cell per column. The constrained depths above the
 // tail follow the walk plan (plan.go): survivor tables and monotone
-// cut-offs skip only values the instruction tables would reject.
-// Emission order is exactly the order the per-node walk would have
-// produced, so output stays byte-identical (the contract the golden
-// parity suite and the service's compare checksums verify).
+// cut-offs skip only values the instruction tables would reject. When
+// the deepest constrained depth has no per-candidate check left, its
+// whole walk list is emitted at depth entry as one batch of blocks; the
+// batch is charged the nodes and blocks the per-node walk would have
+// spent, so EnumStats and the stop cadence do not change. Rows go to a
+// sink of pooled fixed-size chunks and are copied once, at the end,
+// into one exactly sized backing array. Emission order is exactly the
+// order the per-node walk would have produced, so output stays
+// byte-identical (the contract the golden parity suite and the
+// service's compare checksums verify).
 
 // opCode selects one typed instruction shape.
 type opCode uint8
@@ -531,109 +539,142 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 }
 
 // EnumStats reports how one columnar enumeration executed. Nodes counts
-// the constrained walk's loop iterations: candidates tried plus
-// exhausted-list pops (a cut-off ends a depth without a pop). Blocks
+// the constrained walk's loop iterations: candidates tried plus one pop
+// per depth entry, which is also what a walk that tried candidates up
+// to the first cut-off failure would count. Blocks
 // counts the bulk tail expansions, and BlockRows the rows those blocks
-// emitted without per-node visits. Survivor tables and cut-offs skip
-// values outright, so Nodes is below what SolveColumnarRef counts for
-// the same space: that count is the plain walk's, not a like-for-like
-// baseline.
+// emitted without per-node visits. A leaf depth emitted as one batch is
+// charged what the per-node walk would have charged: one node per list
+// entry plus the pop, and one block per entry. Survivor tables and
+// cut-offs skip values outright, so Nodes is below what
+// SolveColumnarRef counts for the same space: that count is the plain
+// walk's, not a like-for-like baseline.
 type EnumStats struct {
 	Nodes     int64
 	Blocks    int64
 	BlockRows int64
 }
 
-// sink is a capacity-managed columnar output buffer: all columns share
-// one backing array (one allocation per growth instead of one per
-// column), and bulk blocks write straight into reserved segments.
-// A worker reuses its sink across tasks via reset, which keeps the
-// capacity — repeated 2×-regrowth of per-task slices was a measurable
-// cost under parallel construction.
+// chunkCells is the size of one pooled output chunk, in int32 cells
+// (256 KiB).
+const chunkCells = 1 << 16
+
+// chunkPool recycles output chunks across enumerations and workers.
+var chunkPool = sync.Pool{New: func() any {
+	buf := make([]int32, chunkCells)
+	return &buf
+}}
+
+// chunk is one fixed run of sink rows, column-major: column vi's rows
+// live at buf[vi*stride : vi*stride+rows].
+type chunk struct {
+	buf    []int32
+	stride int      // row capacity per column
+	rows   int      // rows written
+	start  int      // the sink row index of the chunk's first row
+	pooled *[]int32 // the pool's handle, nil for an oversize chunk
+}
+
+// sink is the kernel's columnar output buffer: a list of fixed-size
+// chunks taken from chunkPool, so the output never regrows or copies
+// while the walk runs. A block that does not fit in the current chunk's
+// remainder opens the next chunk; a block larger than a whole chunk gets
+// its own exactly sized, unpooled chunk. Rows are numbered across chunks
+// in emission order. When the run ends, copyRows moves them once into an
+// exactly sized output and reset hands the chunks back to the pool. A
+// parallel worker keeps one sink for all its tasks and records each
+// task's row range in it. A leaf batch is written as one run, split only
+// where it would overflow a chunk; its EnumStats Nodes and Blocks are
+// what the per-node walk would have charged, not the one step it takes.
 type sink struct {
-	nvars   int
-	rows    int
-	capRows int
-	buf     []int32
+	nvars     int
+	chunkRows int // row capacity of a pooled chunk
+	rows      int // rows emitted
+	chunks    []chunk
 }
 
 func newSink(nvars int) *sink {
-	s := &sink{}
-	s.reset(nvars)
-	return s
+	return &sink{nvars: nvars, chunkRows: chunkCells / nvars}
 }
 
-// reset clears the sink for reuse, keeping the allocated capacity.
-func (s *sink) reset(nvars int) {
-	s.nvars = nvars
+// reserve appends rows rows to the sink and returns the chunk storage
+// they occupy: column vi's new rows are buf[vi*stride+base:][:rows].
+func (s *sink) reserve(rows int) (buf []int32, stride, base int) {
+	if n := len(s.chunks); n > 0 {
+		if ch := &s.chunks[n-1]; ch.rows+rows <= ch.stride {
+			base = ch.rows
+			ch.rows += rows
+			s.rows += rows
+			return ch.buf, ch.stride, base
+		}
+	}
+	ch := chunk{rows: rows, start: s.rows}
+	if rows <= s.chunkRows {
+		ch.pooled = chunkPool.Get().(*[]int32)
+		ch.buf, ch.stride = *ch.pooled, s.chunkRows
+	} else {
+		ch.buf, ch.stride = make([]int32, s.nvars*rows), rows
+	}
+	s.chunks = append(s.chunks, ch)
+	s.rows += rows
+	return ch.buf, ch.stride, 0
+}
+
+// copyRows copies the sink's rows [from, to) into cols, starting at row
+// at of every column.
+func (s *sink) copyRows(cols [][]int32, at, from, to int) {
+	i := sort.Search(len(s.chunks), func(i int) bool {
+		return s.chunks[i].start+s.chunks[i].rows > from
+	})
+	for ; from < to; i++ {
+		ch := &s.chunks[i]
+		lo, hi := from-ch.start, min(ch.rows, to-ch.start)
+		for vi, col := range cols {
+			copy(col[at:], ch.buf[vi*ch.stride+lo:vi*ch.stride+hi])
+		}
+		at += hi - lo
+		from += hi - lo
+	}
+}
+
+// reset empties the sink and returns its pooled chunks.
+func (s *sink) reset() {
+	for i := range s.chunks {
+		if p := s.chunks[i].pooled; p != nil {
+			chunkPool.Put(p)
+		}
+		s.chunks[i] = chunk{}
+	}
+	s.chunks = s.chunks[:0]
 	s.rows = 0
-	s.capRows = 0
-	if nvars > 0 {
-		s.capRows = len(s.buf) / nvars
-	}
 }
 
-// ensure reserves room for extra more rows in every column.
-func (s *sink) ensure(extra int) {
-	need := s.rows + extra
-	if need <= s.capRows {
-		return
+// newColumnar returns the output for rows rows: every column is a
+// window of one exact nvars×rows backing array. Columns stay nil when
+// rows is 0, matching the historical append-based output.
+func (c *Compiled) newColumnar(rows int) *Columnar {
+	out := &Columnar{
+		Names: append([]string(nil), c.names...),
+		Cols:  make([][]int32, len(c.names)),
 	}
-	newCap := s.capRows * 2
-	if newCap < 1024 {
-		newCap = 1024
+	if rows == 0 {
+		return out
 	}
-	if newCap < need {
-		newCap = need
-	}
-	buf := make([]int32, s.nvars*newCap)
-	for vi := 0; vi < s.nvars; vi++ {
-		copy(buf[vi*newCap:], s.buf[vi*s.capRows:vi*s.capRows+s.rows])
-	}
-	s.buf = buf
-	s.capRows = newCap
-}
-
-// colSeg returns column vi's rows [from, to) for writing.
-func (s *sink) colSeg(vi, from, to int) []int32 {
-	base := vi * s.capRows
-	return s.buf[base+from : base+to]
-}
-
-// fillColumnar points out's columns at the sink's storage (no copy; the
-// sink must not be reused afterwards). Columns stay nil when no row was
-// emitted, matching the historical append-based output.
-func (s *sink) fillColumnar(out *Columnar) {
-	if s.rows == 0 {
-		return
-	}
-	for vi := 0; vi < s.nvars; vi++ {
-		base := vi * s.capRows
-		out.Cols[vi] = s.buf[base : base+s.rows : base+s.rows]
-	}
-}
-
-// takeColumnar copies the sink's rows into an exactly-sized columnar
-// bucket (single backing allocation), leaving the sink reusable. Empty
-// sinks return nil.
-func (s *sink) takeColumnar() *Columnar {
-	if s.rows == 0 {
-		return nil
-	}
-	backing := make([]int32, s.nvars*s.rows)
-	out := &Columnar{Cols: make([][]int32, s.nvars)}
-	for vi := 0; vi < s.nvars; vi++ {
-		col := backing[vi*s.rows : (vi+1)*s.rows : (vi+1)*s.rows]
-		copy(col, s.buf[vi*s.capRows:vi*s.capRows+s.rows])
-		out.Cols[vi] = col
+	backing := make([]int32, len(out.Cols)*rows)
+	for vi := range out.Cols {
+		out.Cols[vi] = backing[vi*rows : (vi+1)*rows : (vi+1)*rows]
 	}
 	return out
 }
 
-// fillInt32 sets every element of seg to v (doubling copy; Go has no
-// typed memset).
+// fillInt32 sets every element of seg to v: a plain loop for the short
+// runs one-row blocks and leaf batches produce, doubling copies for long
+// ones (Go has no typed memset).
 func fillInt32(seg []int32, v int32) {
-	if len(seg) == 0 {
+	if len(seg) <= 32 {
+		for i := range seg {
+			seg[i] = v
+		}
 		return
 	}
 	seg[0] = v
@@ -642,15 +683,34 @@ func fillInt32(seg []int32, v int32) {
 	}
 }
 
+// emitLeaves appends one block per entry of list, the domain positions
+// of depth blockStart-1 in walk order: the rows the per-node walk would
+// have emitted trying each entry in turn. The list is split so that
+// every run fits a pooled chunk.
+func (c *Compiled) emitLeaves(snk *sink, idx []int32, list []int32, blockStart, blockRows int) {
+	per := max(1, snk.chunkRows/blockRows)
+	for len(list) > 0 {
+		m := min(per, len(list))
+		c.emitBlock(snk, idx, list[:m], blockStart, blockRows)
+		list = list[m:]
+	}
+}
+
 // emitBlock appends the cartesian block of the solve-order domains
 // [blockStart, n) to the sink, with every variable before blockStart
 // pinned to its current idx assignment. Rows land in exactly the order
 // the per-node walk would have emitted them: depth blockStart varies
-// slowest, the deepest depth fastest, each domain in entry order.
-func (c *Compiled) emitBlock(snk *sink, idx []int32, blockStart int, blockRows int64) {
-	rows := int(blockRows)
-	snk.ensure(rows)
-	base := snk.rows
+// slowest, the deepest depth fastest, each domain in entry order. A
+// non-nil list emits one such block per entry instead, depth
+// blockStart-1 taking the entry's domain position in list order.
+func (c *Compiled) emitBlock(snk *sink, idx []int32, list []int32, blockStart, blockRows int) {
+	leaf := -1
+	count := 1
+	if list != nil {
+		leaf, count = blockStart-1, len(list)
+	}
+	rows := count * blockRows
+	buf, stride, base := snk.reserve(rows)
 	if rows == 1 {
 		// A single-valued tail (common: fixed parameters sort last)
 		// makes every block one row; write one cell per column.
@@ -658,38 +718,77 @@ func (c *Compiled) emitBlock(snk *sink, idx []int32, blockStart int, blockRows i
 			v := idx[vi]
 			if d >= blockStart {
 				v = c.doms[d][0].orig
+			} else if d == leaf {
+				v = c.doms[d][list[0]].orig
 			}
-			snk.buf[vi*snk.capRows+base] = v
+			buf[vi*stride+base] = v
 		}
-		snk.rows++
 		return
 	}
-	n := len(c.order)
 	for d := 0; d < blockStart; d++ {
 		vi := c.order[d]
-		fillInt32(snk.colSeg(vi, base, base+rows), idx[vi])
+		seg := buf[vi*stride+base : vi*stride+base+rows]
+		if d != leaf {
+			fillInt32(seg, idx[vi])
+			continue
+		}
+		dom := c.doms[d]
+		for j, p := range list {
+			fillInt32(seg[j*blockRows:(j+1)*blockRows], dom[p].orig)
+		}
 	}
 	inner := 1
-	for d := n - 1; d >= blockStart; d-- {
+	for d := len(c.order) - 1; d >= blockStart; d-- {
 		vi := c.order[d]
 		dom := c.doms[d]
-		seg := snk.colSeg(vi, base, base+rows)
+		seg := buf[vi*stride+base : vi*stride+base+rows]
+		if len(dom) == 1 {
+			fillInt32(seg, dom[0].orig)
+			continue
+		}
 		// One period: each remaining domain value repeated inner times…
 		p := 0
 		for k := range dom {
-			orig := dom[k].orig
-			for j := 0; j < inner; j++ {
-				seg[p] = orig
-				p++
-			}
+			fillInt32(seg[p:p+inner], dom[k].orig)
+			p += inner
 		}
-		// …then tiled across the block by doubling copies.
+		// …then tiled across the run by doubling copies (every block
+		// repeats the same period).
 		for p < rows {
 			p += copy(seg[p:], seg[:p])
 		}
 		inner *= len(dom)
 	}
-	snk.rows += rows
+}
+
+// candidates returns depth d's walk list for the current assignment of
+// the earlier depths: its survivor list, truncated to the prefix that
+// passes the depth's cut-offs. Cut-offs fail upward and the list
+// ascends, so the passing candidates are a prefix; a binary search
+// finds its end. The pop that ends the truncated list counts one node,
+// as the first failing try would.
+func (c *Compiled) candidates(d int, st *state) []int32 {
+	pl := &c.plan[d]
+	list := pl.survivors(st.pos)
+	if len(pl.cut) == 0 {
+		return list
+	}
+	vi := c.order[d]
+	dom := c.doms[d]
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		e := &dom[list[m]]
+		st.vals[vi] = e.val
+		st.nums[vi] = e.num
+		st.ints[vi] = e.i
+		if runProg(pl.cut, st) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return list[:lo]
 }
 
 // enumColumnar is the columnar enumeration kernel: it pins the first
@@ -740,7 +839,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		if stop != nil && stop() {
 			return true
 		}
-		c.emitBlock(snk, st.idx, blockStart, blockRows)
+		c.emitBlock(snk, st.idx, nil, blockStart, int(blockRows))
 		if es != nil {
 			es.Blocks++
 			es.BlockRows += blockRows
@@ -752,10 +851,15 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		return false
 	}
 
+	// leaf is the deepest constrained depth. With no per-candidate
+	// instruction left there, every listed candidate emits a block, so
+	// the whole list goes out as one batch at depth entry.
+	leaf := blockStart - 1
+	batchLeaf := len(c.plan[leaf].prog) == 0
 	trial := st.trial
 	depth := k
 	trial[depth] = -1
-	st.surv[depth] = c.plan[depth].survivors(st.pos)
+	st.surv[depth] = c.candidates(depth, st)
 	// nodes is the stop-pacing charge: walked loop iterations PLUS each
 	// emitted block's whole subtree, so cancellation latency matches the
 	// per-node walk. blocks is subtracted back out at the end so
@@ -789,8 +893,8 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			nextPoll = nodes + stopCheckMask + 1
 		}
 		nodes++
-		// trial indexes the depth's survivor list, which holds domain
-		// positions; see depthPlan.
+		// trial indexes the depth's walk list, which holds domain
+		// positions; see candidates.
 		trial[depth]++
 		cand := st.surv[depth]
 		if trial[depth] >= len(cand) {
@@ -805,28 +909,39 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		st.nums[vi] = e.num
 		st.ints[vi] = e.i
 		st.idx[vi] = e.orig
-		pl := &c.plan[depth]
-		if len(pl.cut) != 0 && !runProg(pl.cut, st) {
-			// Every later candidate fails this check too.
-			depth--
+		if prog := c.plan[depth].prog; len(prog) != 0 && !runProg(prog, st) {
 			continue
 		}
-		if len(pl.prog) != 0 && !runProg(pl.prog, st) {
-			continue
-		}
-		if depth == blockStart-1 {
+		if depth == leaf {
 			// Past the deepest constrained depth: every completion is
 			// valid, so emit the remaining domains as one block and
 			// charge its node count in bulk (keeping the stop cadence
 			// of the per-node walk without visiting its nodes).
-			c.emitBlock(snk, st.idx, blockStart, blockRows)
+			c.emitBlock(snk, st.idx, nil, blockStart, int(blockRows))
 			nodes += tailNodes
 			blocks++
 			continue
 		}
 		depth++
 		trial[depth] = -1
-		st.surv[depth] = c.plan[depth].survivors(st.pos)
+		list := c.candidates(depth, st)
+		st.surv[depth] = list
+		if depth == leaf && batchLeaf {
+			// The per-node walk would try every entry, emit its block
+			// and pop. Take that as one batch when its whole charge
+			// ends at or before the next poll point: then no poll falls
+			// inside it, and the walk polls where it would have.
+			charge := int64(len(list))*(1+tailNodes) + 1
+			if nodes+charge <= nextPoll {
+				c.emitLeaves(snk, st.idx, list, blockStart, int(blockRows))
+				nodes += charge
+				blocks += int64(len(list))
+				depth--
+				st.batched++
+			} else {
+				st.declined++
+			}
+		}
 	}
 	if es != nil {
 		es.Nodes += nodes - blocks*tailNodes
@@ -847,21 +962,22 @@ func (c *Compiled) SolveColumnarStats(stop func() bool) (*Columnar, EnumStats, b
 	return c.SolveColumnarStatsSink(stop, nil)
 }
 
-// SolveColumnarStatsSink is SolveColumnarStats with a live progress
-// sink: ps, when non-nil, sees node and row counts grow while the
-// enumeration runs. It is the sequential entry point of the live
-// build-progress plane.
+// SolveColumnarStatsSink is the sequential columnar solve, the one entry
+// point every single-worker path goes through: stats as in
+// SolveColumnarStats, plus a live progress sink. ps, when non-nil, sees
+// node and row counts grow while the enumeration runs. The rows land in
+// one exactly sized backing array; a canceled run returns no rows.
 func (c *Compiled) SolveColumnarStatsSink(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
-	out := &Columnar{
-		Names: append([]string(nil), c.names...),
-		Cols:  make([][]int32, len(c.names)),
-	}
 	var es EnumStats
 	if c.empty || len(c.order) == 0 {
-		return out, es, false
+		return c.newColumnar(0), es, false
 	}
 	snk := newSink(len(c.names))
-	canceled := c.enumColumnar(snk, nil, c.newState(), stop, &es, ps)
-	snk.fillColumnar(out)
-	return out, es, canceled
+	defer snk.reset()
+	if c.enumColumnar(snk, nil, c.newState(), stop, &es, ps) {
+		return c.newColumnar(0), es, true
+	}
+	out := c.newColumnar(snk.rows)
+	snk.copyRows(out.Cols, 0, 0, snk.rows)
+	return out, es, false
 }

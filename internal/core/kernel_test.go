@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"searchspace/internal/value"
 )
@@ -285,27 +286,119 @@ func TestSinkReuseAcrossTasks(t *testing.T) {
 	}
 }
 
-// TestSinkGrowthRetainsData grows a sink through several doublings and
-// verifies row integrity (columns share one backing array, so growth
-// must relocate every column correctly).
-func TestSinkGrowthRetainsData(t *testing.T) {
-	s := newSink(3)
-	var want [][3]int32
-	for i := 0; i < 5000; i++ {
-		s.ensure(1)
-		base := s.rows
-		for vi := 0; vi < 3; vi++ {
-			s.colSeg(vi, base, base+1)[0] = int32(i * (vi + 1))
+// TestSinkChunkBoundaries writes rows through the chunked sink and reads
+// them back with copyRows, whole and in ranges that cross chunk ends: a
+// block that would straddle a chunk end opens the next chunk, a block
+// larger than a chunk gets its own, many chunks keep their order, and a
+// reset sink reused for new rows returns none of the old ones.
+func TestSinkChunkBoundaries(t *testing.T) {
+	const nvars = 3
+	s := newSink(nvars)
+	var want [][nvars]int32
+	put := func(rows int, seed int32) {
+		buf, stride, base := s.reserve(rows)
+		for r := 0; r < rows; r++ {
+			var row [nvars]int32
+			for vi := range row {
+				row[vi] = seed + int32(len(want))*int32(vi+1)
+				buf[vi*stride+base+r] = row[vi]
+			}
+			want = append(want, row)
 		}
-		s.rows++
-		want = append(want, [3]int32{int32(i), int32(i * 2), int32(i * 3)})
 	}
-	out := &Columnar{Cols: make([][]int32, 3)}
-	s.fillColumnar(out)
-	for r, w := range want {
-		for vi := 0; vi < 3; vi++ {
-			if out.Cols[vi][r] != w[vi] {
-				t.Fatalf("row %d col %d: got %d want %d", r, vi, out.Cols[vi][r], w[vi])
+	check := func(label string) {
+		t.Helper()
+		if s.rows != len(want) {
+			t.Fatalf("%s: sink holds %d rows, wrote %d", label, s.rows, len(want))
+		}
+		rng := rand.New(rand.NewSource(int64(len(want))))
+		ranges := [][2]int{{0, len(want)}}
+		for i := 0; i < 50; i++ {
+			from := rng.Intn(len(want) + 1)
+			ranges = append(ranges, [2]int{from, from + rng.Intn(len(want)-from+1)})
+		}
+		for _, rg := range ranges {
+			cols := make([][]int32, nvars)
+			for vi := range cols {
+				cols[vi] = make([]int32, rg[1]-rg[0]+2)
+				cols[vi][0], cols[vi][len(cols[vi])-1] = -7, -7
+			}
+			s.copyRows(cols, 1, rg[0], rg[1])
+			for r := rg[0]; r < rg[1]; r++ {
+				for vi := range cols {
+					if got := cols[vi][1+r-rg[0]]; got != want[r][vi] {
+						t.Fatalf("%s: rows %v: row %d col %d = %d, want %d", label, rg, r, vi, got, want[r][vi])
+					}
+				}
+			}
+			for vi := range cols {
+				if cols[vi][0] != -7 || cols[vi][len(cols[vi])-1] != -7 {
+					t.Fatalf("%s: rows %v: copy wrote outside its window", label, rg)
+				}
+			}
+		}
+	}
+
+	put(s.chunkRows-5, 1)
+	put(10, 1) // does not fit the 5 rows left: opens the second chunk
+	if len(s.chunks) != 2 || s.chunks[0].rows != s.chunkRows-5 || s.chunks[1].start != s.chunkRows-5 {
+		t.Fatalf("straddling block: chunks %d, first holds %d rows", len(s.chunks), s.chunks[0].rows)
+	}
+	check("straddle")
+	put(3*s.chunkRows, 1) // larger than a chunk: its own exact chunk
+	big := s.chunks[len(s.chunks)-1]
+	if big.pooled != nil || big.stride != 3*s.chunkRows || len(big.buf) != nvars*3*s.chunkRows {
+		t.Fatalf("oversize block: pooled %v, stride %d, %d cells", big.pooled != nil, big.stride, len(big.buf))
+	}
+	put(1, 1) // the oversize chunk is full: the next row opens a pooled one
+	if last := s.chunks[len(s.chunks)-1]; last.pooled == nil || last.rows != 1 {
+		t.Fatal("row after an oversize block did not open a pooled chunk")
+	}
+	for i := 0; i < 400; i++ {
+		put(1+(i*7919)%997, 1)
+	}
+	if len(s.chunks) < 10 {
+		t.Fatalf("only %d chunks after many blocks", len(s.chunks))
+	}
+	check("many chunks")
+
+	s.reset()
+	if s.rows != 0 || len(s.chunks) != 0 {
+		t.Fatalf("reset left %d rows in %d chunks", s.rows, len(s.chunks))
+	}
+	want = want[:0]
+	for i := 0; i < 60; i++ {
+		put(1+(i*131)%2003, -1000)
+	}
+	check("reuse after reset")
+}
+
+// TestOutputExactBacking pins the output layout on Hotspot, sequential
+// and with 7 workers: every column is a window of one nvars×rows
+// backing array at stride rows, so a result holds exactly the bytes its
+// rows need.
+func TestOutputExactBacking(t *testing.T) {
+	c := hotspotProblem(t).Compile(DefaultOptions())
+	par, canceled := c.SolveColumnarExec(Exec{Workers: 7})
+	if canceled {
+		t.Fatal("uncancelled run reported canceled")
+	}
+	for label, col := range map[string]*Columnar{"sequential": c.SolveColumnar(), "7 workers": par} {
+		n := col.NumSolutions()
+		if n != 347628 {
+			t.Fatalf("%s: %d rows, want Hotspot's 347628", label, n)
+		}
+		for i, colI := range col.Cols {
+			if len(colI) != n || cap(colI) != n {
+				t.Fatalf("%s: column %d has length %d, capacity %d; want %d", label, i, len(colI), cap(colI), n)
+			}
+			if i+1 == len(col.Cols) {
+				break
+			}
+			next, want := unsafe.Pointer(&col.Cols[i+1][0]), unsafe.Add(unsafe.Pointer(&colI[0]), 4*n)
+			if next != want {
+				t.Fatalf("%s: column %d starts %d bytes after column %d; want stride %d rows in one backing of %d×%d",
+					label, i+1, uintptr(next)-uintptr(unsafe.Pointer(&colI[0])), i, n, len(col.Cols), n)
 			}
 		}
 	}

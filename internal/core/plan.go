@@ -20,7 +20,8 @@ import (
 //     the current key assignment, in ascending order.
 //   - Monotone cut-offs. On a strictly ascending numeric domain, an
 //     instruction proven to keep failing as the depth's value grows
-//     ends the depth's loop at its first failure.
+//     passes only a prefix of the depth's ascending survivor list; the
+//     walk finds that prefix once at depth entry and tries only it.
 //
 // Candidates stay in ascending declared order, so the emitted row order
 // is unchanged. Native Go functions are neither tabled nor cut: they are
@@ -33,8 +34,8 @@ import (
 // mixed-radix index of the key depths' domain positions (keys[0] most
 // significant, strides parallel to keys). A depth with nothing tabled has
 // no keys and one list: its whole domain. cut holds the instructions
-// that fail for every later candidate once they fail; prog holds the
-// rest, run per candidate.
+// that fail for every later candidate once they fail, applied once per
+// depth entry (see candidates); prog holds the rest, run per candidate.
 type depthPlan struct {
 	keys    []int
 	strides []int

@@ -118,8 +118,9 @@ func randomDomain(rng *rand.Rand, shape, size int) []value.Value {
 // must return exactly the brute-force rows in solve order. The domains
 // and constraints are drawn so that survivor tables, cut-offs, table
 // fall-backs (3+ earlier variables, tuple spaces over memoTableMax), the
-// expression-predicate escape hatch and a native Go function all occur;
-// the test fails if any of them never does.
+// expression-predicate escape hatch, a native Go function, leaf-depth
+// batches (plain and after a cut-off) and batches declined at a poll
+// point all occur; the test fails if any of them never does.
 func TestPlanMatchesBruteForceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := []string{
@@ -152,11 +153,15 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		"%s * %s - %s <= %d",
 		"%s * %s * %s <= %d",
 	}
-	var cuts, tables, fallbacks, preds, goFuncs int
-	for trial := 0; trial < 120; trial++ {
+	var cuts, tables, fallbacks, preds, goFuncs, batches, cutBatches, declined int
+	for trial := 0; trial < 132; trial++ {
 		nvars := 3 + rng.Intn(3)
-		wide := trial%3 == 0
-		if wide {
+		// The last trials draw four domains of 10 to 15 values: their
+		// walks charge more than one poll window, so leaf batches meet
+		// poll points and some are declined.
+		long := trial >= 120
+		wide := trial%3 == 0 && !long
+		if wide || long {
 			nvars = 4
 		}
 		vars := make([]varDef, nvars)
@@ -164,6 +169,9 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		for i := range vars {
 			names[i] = fmt.Sprintf("v%d", i)
 			size, shape := 2+rng.Intn(7), rng.Intn(3)
+			if long {
+				size = 16 + rng.Intn(6)
+			}
 			if wide {
 				// Domains of 17, 18 and 19 values: a check at one of
 				// them keyed on the two others exceeds memoTableMax,
@@ -228,6 +236,17 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		if hasOp(c, opPred) {
 			preds++
 		}
+		if !c.empty && c.tailStart > 0 {
+			st := c.newState()
+			snk := newSink(len(c.order))
+			c.enumColumnar(snk, nil, st, nil, nil, nil)
+			snk.reset()
+			batches += st.batched
+			if len(c.plan[c.tailStart-1].cut) != 0 {
+				cutBatches += st.batched
+			}
+			declined += st.declined
+		}
 		want := bruteIndexRows(t, vars, cons, keep)
 		assertRowOrder(t, c.Order(), want, c.SolveColumnar(), label)
 		par, canceled := c.SolveColumnarExec(Exec{Workers: 7})
@@ -236,9 +255,11 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		}
 		assertRowOrder(t, c.Order(), want, par, label+" (7 workers)")
 	}
-	t.Logf("cut instructions %d, keyed tables %d, untabled instructions %d, problems with predicates %d, Go funcs %d",
-		cuts, tables, fallbacks, preds, goFuncs)
-	if cuts == 0 || tables == 0 || fallbacks == 0 || preds == 0 || goFuncs == 0 {
+	t.Logf("cut instructions %d, keyed tables %d, untabled instructions %d, problems with predicates %d, Go funcs %d, "+
+		"leaf batches %d (%d after cut-offs), batches declined at a poll point %d",
+		cuts, tables, fallbacks, preds, goFuncs, batches, cutBatches, declined)
+	if cuts == 0 || tables == 0 || fallbacks == 0 || preds == 0 || goFuncs == 0 ||
+		batches == 0 || cutBatches == 0 || declined == 0 {
 		t.Fatal("the random problems no longer reach every walk-plan path")
 	}
 }

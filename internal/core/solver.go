@@ -125,27 +125,12 @@ func (c *Compiled) SolveColumnar() *Columnar {
 }
 
 // SolveColumnarStop is SolveColumnar with cooperative cancellation; see
-// ForEachStop. A canceled run returns the partial columnar, which the
-// caller must discard. This is the kernel's bulk path: constrained
-// depths walk node by node, unconstrained tail depths are emitted as
-// whole cartesian blocks into a single shared-backing sink.
+// ForEachStop. A canceled run returns no rows. This is the kernel's bulk
+// path: constrained depths follow the walk plan, unconstrained tail
+// depths are emitted as whole cartesian blocks; see
+// SolveColumnarStatsSink.
 func (c *Compiled) SolveColumnarStop(stop func() bool) (*Columnar, bool) {
-	return c.solveColumnarSink(stop, nil)
-}
-
-// solveColumnarSink is SolveColumnarStop with a live progress sink for
-// the single-worker execution path.
-func (c *Compiled) solveColumnarSink(stop func() bool, ps *ProgressSink) (*Columnar, bool) {
-	out := &Columnar{
-		Names: append([]string(nil), c.names...),
-		Cols:  make([][]int32, len(c.names)),
-	}
-	if c.empty || len(c.order) == 0 {
-		return out, false
-	}
-	snk := newSink(len(c.names))
-	canceled := c.enumColumnar(snk, nil, c.newState(), stop, nil, ps)
-	snk.fillColumnar(out)
+	out, _, canceled := c.SolveColumnarStatsSink(stop, nil)
 	return out, canceled
 }
 

@@ -39,6 +39,21 @@ func MustParse(src string) Node {
 	return n
 }
 
+// maxNodes bounds the syntax tree of one expression. The passes after
+// parsing (folding, analysis, compilation, evaluation) recurse over the
+// tree, and a left-deep chain such as a+a+...+a is as deep as it is
+// long: unbounded, a chain that fits under the service's body cap
+// overflows the goroutine stack, which no recover can catch. The bound
+// is far above what any real constraint needs.
+const maxNodes = 10000
+
+// maxTokens bounds the lexer, which runs before the parser can count
+// nodes or nesting: an expression the size of the service's body cap
+// would otherwise cost a token list of a quarter of a gigabyte. The
+// bound caps that list at 32 MiB. A chain of maxNodes nodes takes about
+// maxNodes tokens, so on such input the node budget reports first.
+const maxTokens = 1 << 20
+
 // maxNesting bounds how deeply the recursive forms may nest: parenthesized
 // atoms, list elements, call arguments, not, unary -/+, and the right
 // operand of **. It matches CPython's tokenizer bracket limit (MAXLEVEL)
@@ -51,6 +66,16 @@ type parser struct {
 	toks  []token
 	i     int
 	depth int
+	nodes int
+}
+
+// grow counts one more syntax-tree node, failing past maxNodes.
+func (p *parser) grow() error {
+	if p.nodes == maxNodes {
+		return p.errorf("expression has more than %d nodes", maxNodes)
+	}
+	p.nodes++
+	return nil
 }
 
 // nested runs parse one nesting level deeper, failing past maxNesting.
@@ -109,6 +134,9 @@ func (p *parser) parseOr() (Node, error) {
 	if p.peek().kind != tokName || p.peek().text != "or" {
 		return x, nil
 	}
+	if err := p.grow(); err != nil {
+		return nil, err
+	}
 	xs := []Node{x}
 	for p.acceptKeyword("or") {
 		y, err := p.parseAnd()
@@ -128,6 +156,9 @@ func (p *parser) parseAnd() (Node, error) {
 	if p.peek().kind != tokName || p.peek().text != "and" {
 		return x, nil
 	}
+	if err := p.grow(); err != nil {
+		return nil, err
+	}
 	xs := []Node{x}
 	for p.acceptKeyword("and") {
 		y, err := p.parseNot()
@@ -141,6 +172,9 @@ func (p *parser) parseAnd() (Node, error) {
 
 func (p *parser) parseNot() (Node, error) {
 	if p.acceptKeyword("not") {
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
 		x, err := p.nested(p.parseNot)
 		if err != nil {
 			return nil, err
@@ -209,6 +243,11 @@ func (p *parser) parseComparison() (Node, error) {
 		if !ok {
 			break
 		}
+		if len(ops) == 0 {
+			if err := p.grow(); err != nil {
+				return nil, err
+			}
+		}
 		y, err := p.parseArith()
 		if err != nil {
 			return nil, err
@@ -236,22 +275,23 @@ func (p *parser) parseArith() (Node, error) {
 		return nil, err
 	}
 	for {
+		var op Op
 		switch {
 		case p.acceptOp("+"):
-			y, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{Op: OpAdd, X: x, Y: y}
+			op = OpAdd
 		case p.acceptOp("-"):
-			y, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{Op: OpSub, X: x, Y: y}
+			op = OpSub
 		default:
 			return x, nil
 		}
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
+		y, err := p.parseTerm()
+		if err != nil {
+			return nil, err
+		}
+		x = &Binary{Op: op, X: x, Y: y}
 	}
 }
 
@@ -274,6 +314,9 @@ func (p *parser) parseTerm() (Node, error) {
 		default:
 			return x, nil
 		}
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
 		y, err := p.parseFactor()
 		if err != nil {
 			return nil, err
@@ -284,6 +327,9 @@ func (p *parser) parseTerm() (Node, error) {
 
 func (p *parser) parseFactor() (Node, error) {
 	if p.acceptOp("-") {
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
 		x, err := p.nested(p.parseFactor)
 		if err != nil {
 			return nil, err
@@ -302,6 +348,9 @@ func (p *parser) parsePower() (Node, error) {
 		return nil, err
 	}
 	if p.acceptOp("**") {
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
 		// Right-associative, and unary minus binds tighter on the right:
 		// 2 ** -1 is valid.
 		y, err := p.nested(p.parseFactor)
@@ -322,6 +371,12 @@ var builtinArity = map[string]struct{ min, max int }{
 
 func (p *parser) parseAtom() (Node, error) {
 	t := p.peek()
+	if t.kind != tokOp || t.text != "(" {
+		// A parenthesized expression adds no node of its own.
+		if err := p.grow(); err != nil {
+			return nil, err
+		}
+	}
 	switch t.kind {
 	case tokInt:
 		p.i++

@@ -228,3 +228,44 @@ func TestNestingLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeLimit pins maxNodes: a left-deep chain of exactly maxNodes
+// nodes parses, one node more is a SyntaxError. Unbounded, the passes
+// after parsing recurse once per link of such a chain.
+func TestNodeLimit(t *testing.T) {
+	forms := map[string]func(n int) string{
+		// a + a + ... + a has 2k-1 nodes for k operands; a leading
+		// unary minus adds one.
+		"sum": func(n int) string {
+			s := strings.Repeat("a + ", (n-1)/2) + "a"
+			if n%2 == 0 {
+				s = "-" + s
+			}
+			return s
+		},
+		// a and a and ... and a is one BoolOp over n-1 operands.
+		"and": func(n int) string { return strings.Repeat("a and ", n-2) + "a" },
+	}
+	for name, form := range forms {
+		for _, n := range []int{maxNodes - 1, maxNodes} {
+			if _, err := Parse(form(n)); err != nil {
+				t.Errorf("%s of %d nodes: %v", name, n, err)
+			}
+		}
+		var se *SyntaxError
+		_, err := Parse(form(maxNodes + 1))
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nodes") {
+			t.Errorf("%s of %d nodes: got %v, want a SyntaxError naming the node budget", name, maxNodes+1, err)
+		}
+	}
+}
+
+// TestTokenLimit: input past maxTokens is refused by the lexer before a
+// token list of that size is built.
+func TestTokenLimit(t *testing.T) {
+	var se *SyntaxError
+	_, err := Parse(strings.Repeat("a+", maxTokens/2) + "a")
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "tokens") {
+		t.Fatalf("got %.200v, want a SyntaxError naming the token bound", err)
+	}
+}

@@ -62,6 +62,9 @@ func lex(src string) ([]token, error) {
 	i := 0
 	n := len(src)
 	for i < n {
+		if len(toks) == maxTokens {
+			return nil, &SyntaxError{src, i, fmt.Sprintf("expression longer than %d tokens", maxTokens)}
+		}
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':

@@ -311,6 +311,39 @@ func TestDeeplyNestedConstraintIs422(t *testing.T) {
 	}
 }
 
+// TestLongChainConstraintIs422: a left-deep chain p+p+...+p as long as
+// the body cap allows, and one just past the parser's node budget, are
+// both 422s, and the daemon keeps building. Unbounded, the body-cap
+// chain overflows the goroutine stack in the passes after parsing,
+// which kills the whole process.
+func TestLongChainConstraintIs422(t *testing.T) {
+	_, ts := newTestServer(t, RegistryConfig{})
+	const prefix, suffix = `{"problem": {"name": "chain", "params": [{"name": "p", "values": [1, 2]}], "constraints": ["`, ` >= 0"]}}`
+	operands := (maxBodyBytes - len(prefix) - len(suffix)) / 2
+	cases := []struct {
+		name, body, limit string
+	}{
+		{"body-cap chain", prefix + strings.Repeat("p+", operands-1) + "p" + suffix, "tokens"},
+		{"chain past the node budget", prefix + strings.Repeat("p+", 5000) + "p" + suffix, "nodes"},
+	}
+	for _, tc := range cases {
+		if len(tc.body) > maxBodyBytes {
+			t.Fatalf("%s: body of %d bytes is over the cap", tc.name, len(tc.body))
+		}
+		var apiErr apiError
+		if code := post(t, ts.URL+"/v1/spaces", tc.body, &apiErr); code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", tc.name, code)
+		}
+		if !strings.Contains(apiErr.Error, tc.limit) {
+			t.Fatalf("%s: 422 body does not name the %s limit: %.200s", tc.name, tc.limit, apiErr.Error)
+		}
+	}
+	var built BuildResponse
+	if code := post(t, ts.URL+"/v1/spaces", buildBody("after-chain", ""), &built); code != http.StatusOK || built.Size != 21 {
+		t.Fatalf("build after the rejected ones: status %d, size %d", code, built.Size)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, RegistryConfig{})
 

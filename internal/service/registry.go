@@ -1256,7 +1256,9 @@ func EstimateBytes(ss *searchspace.SearchSpace) int64 {
 // (measured rows) and EstimatePendingBytes (cartesian upper bound), so
 // cache accounting and admission charging cannot drift apart: 4 bytes
 // per row per parameter for the int32 columns, plus 12 bytes per row
-// for the sorted index (a uint64 key and an int32 row).
+// for the sorted index (a uint64 key and an int32 row). For the columns
+// the model is exact: the solver returns them as windows of one
+// params×rows backing array, with no spare capacity.
 func estimateResidentBytes(rows, params float64) float64 {
 	if params < 1 {
 		params = 1
