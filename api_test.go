@@ -46,38 +46,6 @@ func TestBuildAllMethodsAgree(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesSequential(t *testing.T) {
-	seq, err := paperProblem().Build(Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3} {
-		par, stats, err := paperProblem().BuildParallel(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.Size() != seq.Size() {
-			t.Fatalf("workers=%d: size %d, want %d", workers, par.Size(), seq.Size())
-		}
-		if stats.Valid != par.Size() || stats.Method != Optimized {
-			t.Errorf("workers=%d: stats %+v", workers, stats)
-		}
-		for r := 0; r < seq.Size(); r += 17 {
-			a, b := seq.GetValues(r), par.GetValues(r)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d: row %d differs", workers, r)
-				}
-			}
-		}
-	}
-	// Error deferral carries through BuildParallel too.
-	bad := NewProblem("bad").AddParam("a")
-	if _, _, err := bad.BuildParallel(2); err == nil {
-		t.Error("expected deferred error")
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	if Optimized.String() != "optimized" {
 		t.Error("Optimized label")
@@ -95,6 +63,10 @@ func TestProblemErrorDeferral(t *testing.T) {
 	p.AddParam("b", 1)                   // subsequent calls are no-ops
 	if _, err := p.Build(Optimized); err == nil {
 		t.Fatal("expected deferred error")
+	}
+	// Error deferral carries through a parallel build too.
+	if _, _, err := p.BuildWith(BuildOpts{Method: Optimized, Workers: 2}); err == nil {
+		t.Fatal("expected deferred error from a parallel build")
 	}
 	p = NewProblem("badtype").AddParam("a", struct{}{})
 	if _, err := p.Build(Optimized); err == nil {

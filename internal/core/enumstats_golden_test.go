@@ -27,7 +27,7 @@ func TestEnumStatsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", def.Name, err)
 		}
-		col, es, canceled := p.Compile(core.DefaultOptions()).SolveColumnarStats(nil)
+		col, es, canceled := p.Compile(core.DefaultOptions()).SolveColumnarStatsSink(nil, nil)
 		if canceled {
 			t.Fatalf("%s: uncancelled run reported canceled", def.Name)
 		}

@@ -955,18 +955,12 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 	return false
 }
 
-// SolveColumnarStats is SolveColumnarStop with kernel execution stats:
-// constrained node visits, bulk blocks, and block rows. It backs the
-// spaceload solver benchmark's nodes-visited reporting.
-func (c *Compiled) SolveColumnarStats(stop func() bool) (*Columnar, EnumStats, bool) {
-	return c.SolveColumnarStatsSink(stop, nil)
-}
-
 // SolveColumnarStatsSink is the sequential columnar solve, the one entry
-// point every single-worker path goes through: stats as in
-// SolveColumnarStats, plus a live progress sink. ps, when non-nil, sees
-// node and row counts grow while the enumeration runs. The rows land in
-// one exactly sized backing array; a canceled run returns no rows.
+// point every single-worker path goes through. It reports kernel
+// execution stats: constrained node visits, bulk blocks and block rows.
+// ps, when non-nil, sees node and row counts grow while the enumeration
+// runs. The rows land in one exactly sized backing array; a canceled run
+// returns no rows.
 func (c *Compiled) SolveColumnarStatsSink(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
 	var es EnumStats
 	if c.empty || len(c.order) == 0 {

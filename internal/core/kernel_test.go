@@ -204,7 +204,7 @@ func TestTailExpansion(t *testing.T) {
 	}
 	refNodes := assertColumnarEqualRef(t, c, "tail")
 
-	col, es, canceled := c.SolveColumnarStats(nil)
+	col, es, canceled := c.SolveColumnarStatsSink(nil, nil)
 	if canceled {
 		t.Fatal("uncancelled run reported canceled")
 	}
@@ -231,7 +231,7 @@ func TestTailExpansionUnconstrainedSpace(t *testing.T) {
 		t.Fatalf("tailStart = %d, want 0", c.tailStart)
 	}
 	assertColumnarEqualRef(t, c, "fully-unconstrained")
-	_, es, _ := c.SolveColumnarStats(nil)
+	_, es, _ := c.SolveColumnarStatsSink(nil, nil)
 	if es.Blocks != 1 || es.BlockRows != 12 || es.Nodes != 0 {
 		t.Fatalf("stats = %+v; want exactly one 12-row block and zero walked nodes", es)
 	}

@@ -9,8 +9,8 @@ import (
 // This file preserves the pre-kernel enumeration path verbatim: per-check
 // closures chained per depth, a per-node walk with no tail expansion, and
 // per-row column appends. It exists as the reference the byte-parity
-// suites pin the kernel against, and as the "before" side of the solver
-// benchmark (spaceload -mode solver). It is not used on any hot path.
+// suites pin the kernel against, and as the "before" side of
+// BenchmarkKernelVsReferenceSparse. It is not used on any hot path.
 
 // checkFn evaluates one registered check against the current partial
 // assignment held in state.

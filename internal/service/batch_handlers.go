@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -264,12 +263,9 @@ func (s *Server) handleBatchNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "batch of %d rows exceeds the neighbors limit %d (each row fans out); split into multiple requests", len(req.Rows), maxBatchNeighborRows)
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = "hamming"
-	}
-	if kind != "hamming" && kind != "adjacent" {
-		writeError(w, r, http.StatusBadRequest, "unknown kind %q (want hamming or adjacent)", kind)
+	kind, neighbors, err := neighborFunc(entry.Space, req.Kind)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%s", err)
 		return
 	}
 	size := entry.Space.Size()
@@ -281,11 +277,7 @@ func (s *Server) handleBatchNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchNeighborsResponse{Kind: kind, Count: len(req.Rows), Neighbors: make([][]int, len(req.Rows))}
 	for i, row := range req.Rows {
-		if kind == "hamming" {
-			resp.Neighbors[i] = entry.Space.HammingNeighbors(row)
-		} else {
-			resp.Neighbors[i] = entry.Space.AdjacentNeighbors(row)
-		}
+		resp.Neighbors[i] = neighbors(row)
 	}
 	s.reg.NoteRows(entry.ID, int64(len(req.Rows)))
 	s.writeBatchJSON(w, r, http.StatusOK, resp)
@@ -332,28 +324,14 @@ func (s *Server) handleBatchSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "k=%d across %d seeds draws more than %d total rows; shrink k or split the seeds", req.K, len(req.Seeds), maxSampleK)
 		return
 	}
-	strategy := req.Strategy
-	if strategy == "" {
-		strategy = "uniform"
-	}
-	if strategy == "lhs" && req.K > maxLHSK {
-		writeError(w, r, http.StatusBadRequest, "\"k\" exceeds the lhs limit %d (lhs cost grows with k times space size; use uniform or stratified for large samples)", maxLHSK)
+	strategy, draw, err := sampler(entry.Space, req.Strategy, req.K)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%s", err)
 		return
 	}
 	resp := BatchSampleResponse{Strategy: strategy, K: req.K, Count: len(req.Seeds), Rows: make([][]int, len(req.Seeds))}
 	for i, seed := range req.Seeds {
-		rng := rand.New(rand.NewSource(seed))
-		switch strategy {
-		case "uniform":
-			resp.Rows[i] = entry.Space.SampleUniform(rng, req.K)
-		case "stratified":
-			resp.Rows[i] = entry.Space.SampleStratified(rng, req.K)
-		case "lhs":
-			resp.Rows[i] = entry.Space.SampleLHS(rng, req.K)
-		default:
-			writeError(w, r, http.StatusBadRequest, "unknown strategy %q (want uniform, stratified, or lhs)", strategy)
-			return
-		}
+		resp.Rows[i] = draw(seed)
 	}
 	s.reg.NoteRows(entry.ID, int64(req.K*len(req.Seeds)))
 	s.writeBatchJSON(w, r, http.StatusOK, resp)

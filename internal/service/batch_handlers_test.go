@@ -282,24 +282,34 @@ func TestBatchNeighborsParity(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	for _, kind := range []string{"hamming", "adjacent"} {
+	// An omitted kind means hamming on both planes.
+	for _, kind := range []string{"hamming", "adjacent", ""} {
+		want := kind
+		if want == "" {
+			want = "hamming"
+		}
 		raw, _ := json.Marshal(map[string]any{"rows": rows, "kind": kind})
 		var batch BatchNeighborsResponse
 		if code := post(t, ts.URL+"/v1/spaces/"+id+"/batch/neighbors", string(raw), &batch); code != http.StatusOK {
-			t.Fatalf("batch neighbors %s: status %d", kind, code)
+			t.Fatalf("batch neighbors %q: status %d", kind, code)
 		}
-		if batch.Kind != kind || batch.Count != len(rows) {
+		if batch.Kind != want || batch.Count != len(rows) {
 			t.Fatalf("batch neighbors shape: %+v", batch)
 		}
 		for _, row := range rows {
 			var single NeighborsResponse
 			body := fmt.Sprintf(`{"row": %d, "kind": %q}`, row, kind)
 			post(t, ts.URL+"/v1/spaces/"+id+"/neighbors", body, &single)
-			if !reflect.DeepEqual(single.Rows, batch.Neighbors[row]) {
-				t.Fatalf("%s neighbors of %d: batch %v vs per-request %v", kind, row, batch.Neighbors[row], single.Rows)
+			if single.Kind != want || !reflect.DeepEqual(single.Rows, batch.Neighbors[row]) {
+				t.Fatalf("%q neighbors of %d: batch %v vs per-request %s %v", kind, row, batch.Neighbors[row], single.Kind, single.Rows)
 			}
 		}
 	}
+
+	// An unknown kind is the same 400 with the same text on both planes.
+	assertSameError(t,
+		ts.URL+"/v1/spaces/"+id+"/neighbors", `{"row": 0, "kind": "diagonal"}`,
+		ts.URL+"/v1/spaces/"+id+"/batch/neighbors", `{"rows": [0], "kind": "diagonal"}`)
 
 	// Out-of-range rows poison the whole batch with a 400 naming the slot.
 	if code := post(t, ts.URL+"/v1/spaces/"+id+"/batch/neighbors", `{"rows": [0, 99]}`, nil); code != http.StatusBadRequest {
@@ -328,6 +338,32 @@ func TestBatchSampleParity(t *testing.T) {
 		}
 	}
 
+	// Every strategy draws alike on both planes, rows_only or not.
+	for _, strategy := range []string{"uniform", "stratified", "lhs"} {
+		var batch BatchSampleResponse
+		body := fmt.Sprintf(`{"k": 5, "seeds": [3, 9], "strategy": %q}`, strategy)
+		if code := post(t, ts.URL+"/v1/spaces/"+id+"/batch/sample", body, &batch); code != http.StatusOK {
+			t.Fatalf("batch sample %s: status %d", strategy, code)
+		}
+		for i, seed := range []int64{3, 9} {
+			var single SampleResponse
+			body := fmt.Sprintf(`{"k": 5, "seed": %d, "strategy": %q, "rows_only": true}`, seed, strategy)
+			post(t, ts.URL+"/v1/spaces/"+id+"/sample", body, &single)
+			if single.Strategy != strategy || batch.Strategy != strategy || !reflect.DeepEqual(single.Rows, batch.Rows[i]) {
+				t.Fatalf("%s seed %d: batch %s %v vs per-request %s %v", strategy, seed, batch.Strategy, batch.Rows[i], single.Strategy, single.Rows)
+			}
+		}
+	}
+
+	// Unknown strategies and oversized lhs draws are the same 400 with
+	// the same text on both planes.
+	assertSameError(t,
+		ts.URL+"/v1/spaces/"+id+"/sample", `{"k": 2, "seed": 1, "strategy": "sobol"}`,
+		ts.URL+"/v1/spaces/"+id+"/batch/sample", `{"k": 2, "seeds": [1], "strategy": "sobol"}`)
+	assertSameError(t,
+		ts.URL+"/v1/spaces/"+id+"/sample", fmt.Sprintf(`{"k": %d, "seed": 1, "strategy": "lhs"}`, maxLHSK+1),
+		ts.URL+"/v1/spaces/"+id+"/batch/sample", fmt.Sprintf(`{"k": %d, "seeds": [1], "strategy": "lhs"}`, maxLHSK+1))
+
 	// Total-draw and lhs caps.
 	tooMany := fmt.Sprintf(`{"k": %d, "seeds": [1, 2, 3]}`, maxSampleK/2)
 	if code := post(t, ts.URL+"/v1/spaces/"+id+"/batch/sample", tooMany, nil); code != http.StatusBadRequest {
@@ -336,6 +372,17 @@ func TestBatchSampleParity(t *testing.T) {
 	lhsBig := fmt.Sprintf(`{"k": %d, "seeds": [1], "strategy": "lhs"}`, maxLHSK+1)
 	if code := post(t, ts.URL+"/v1/spaces/"+id+"/batch/sample", lhsBig, nil); code != http.StatusBadRequest {
 		t.Fatalf("lhs over-limit: status %d, want 400", code)
+	}
+}
+
+// assertSameError posts one bad request to each plane and requires the
+// same 400 with the same error text from both.
+func assertSameError(t *testing.T, url1, body1, url2, body2 string) {
+	t.Helper()
+	var e1, e2 apiError
+	c1, c2 := post(t, url1, body1, &e1), post(t, url2, body2, &e2)
+	if c1 != http.StatusBadRequest || c2 != http.StatusBadRequest || e1.Error == "" || e1 != e2 {
+		t.Fatalf("planes disagree: %d %q vs %d %q", c1, e1.Error, c2, e2.Error)
 	}
 }
 

@@ -97,12 +97,7 @@ func DefaultObsConfig() ObsConfig {
 // NewServer builds a Server around the given registry with the default
 // session limits and observability config.
 func NewServer(reg *Registry) *Server {
-	return NewServerWith(reg, DefaultSessionConfig())
-}
-
-// NewServerWith builds a Server with explicit session limits.
-func NewServerWith(reg *Registry, scfg SessionConfig) *Server {
-	return NewServerObs(reg, scfg, DefaultObsConfig())
+	return NewServerObs(reg, DefaultSessionConfig(), DefaultObsConfig())
 }
 
 // NewServerObs builds a Server with explicit session limits and
@@ -629,6 +624,31 @@ const maxSampleConfigsK = 4096
 // big cached space would pin a core for one request.
 const maxLHSK = 1024
 
+// sampler resolves a sample strategy (empty means uniform) for k draws
+// from space: the strategy's name and a function drawing one seed's
+// rows, or why the request is a 400. The per-request and batch sample
+// routes both go through it, so they accept, name and draw alike.
+func sampler(space *searchspace.SearchSpace, strategy string, k int) (string, func(seed int64) []int, error) {
+	if strategy == "" {
+		strategy = "uniform"
+	}
+	var draw func(*rand.Rand, int) []int
+	switch strategy {
+	case "uniform":
+		draw = space.SampleUniform
+	case "stratified":
+		draw = space.SampleStratified
+	case "lhs":
+		if k > maxLHSK {
+			return "", nil, fmt.Errorf("\"k\" exceeds the lhs limit %d (lhs cost grows with k times space size; use uniform or stratified for large samples)", maxLHSK)
+		}
+		draw = space.SampleLHS
+	default:
+		return "", nil, fmt.Errorf("unknown strategy %q (want uniform, stratified, or lhs)", strategy)
+	}
+	return strategy, func(seed int64) []int { return draw(rand.New(rand.NewSource(seed)), k) }, nil
+}
+
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	entry, ok := s.lookup(w, r)
 	if !ok {
@@ -653,27 +673,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			req.K, req.K, maxSampleConfigsK)
 		return
 	}
-	rng := rand.New(rand.NewSource(req.Seed))
-	var rows []int
-	strategy := req.Strategy
-	if strategy == "" {
-		strategy = "uniform"
-	}
-	switch strategy {
-	case "uniform":
-		rows = entry.Space.SampleUniform(rng, req.K)
-	case "stratified":
-		rows = entry.Space.SampleStratified(rng, req.K)
-	case "lhs":
-		if req.K > maxLHSK {
-			writeError(w, r, http.StatusBadRequest, "\"k\" exceeds the lhs limit %d (lhs cost grows with k times space size; use uniform or stratified for large samples)", maxLHSK)
-			return
-		}
-		rows = entry.Space.SampleLHS(rng, req.K)
-	default:
-		writeError(w, r, http.StatusBadRequest, "unknown strategy %q (want uniform, stratified, or lhs)", strategy)
+	strategy, draw, err := sampler(entry.Space, req.Strategy, req.K)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%s", err)
 		return
 	}
+	rows := draw(req.Seed)
 	resp := SampleResponse{Strategy: strategy, Seed: req.Seed, Rows: rows}
 	if !req.RowsOnly {
 		resp.Configs = make([]ConfigDoc, len(rows))
@@ -698,6 +703,19 @@ type NeighborsResponse struct {
 	Kind    string      `json:"kind"`
 	Rows    []int       `json:"rows"`
 	Configs []ConfigDoc `json:"configs"`
+}
+
+// neighborFunc resolves a neighbor kind (empty means hamming) to its
+// name and the space's neighbor query, or why the request is a 400. The
+// per-request and batch neighbor routes both go through it.
+func neighborFunc(space *searchspace.SearchSpace, kind string) (string, func(row int) []int, error) {
+	switch kind {
+	case "", "hamming":
+		return "hamming", space.HammingNeighbors, nil
+	case "adjacent":
+		return "adjacent", space.AdjacentNeighbors, nil
+	}
+	return "", nil, fmt.Errorf("unknown kind %q (want hamming or adjacent)", kind)
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -729,20 +747,12 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "need \"row\" or \"config\"")
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = "hamming"
-	}
-	var rows []int
-	switch kind {
-	case "hamming":
-		rows = entry.Space.HammingNeighbors(row)
-	case "adjacent":
-		rows = entry.Space.AdjacentNeighbors(row)
-	default:
-		writeError(w, r, http.StatusBadRequest, "unknown kind %q (want hamming or adjacent)", kind)
+	kind, neighbors, err := neighborFunc(entry.Space, req.Kind)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, "%s", err)
 		return
 	}
+	rows := neighbors(row)
 	resp := NeighborsResponse{Row: row, Kind: kind, Rows: rows,
 		Configs: make([]ConfigDoc, len(rows))}
 	for i, nr := range rows {
@@ -774,8 +784,8 @@ type CompareResult struct {
 	Workers int `json:"workers,omitempty"`
 	// Checksum is a SHA-256 over the resolved space's parameter names
 	// and columnar rows. Two legs with equal checksums produced
-	// byte-identical spaces — the determinism evidence the parallel
-	// sweep (spaceload -mode build) asserts over the wire.
+	// byte-identical spaces — the determinism evidence the worker
+	// sweep (TestCompareWorkerSweep) asserts over the wire.
 	Checksum string `json:"checksum,omitempty"`
 	Error    string `json:"error,omitempty"`
 }

@@ -32,7 +32,7 @@ func buildBody(name, method string) string {
 	return fmt.Sprintf(`{"problem": %s, "method": %q}`, smallDoc(name), method)
 }
 
-func newTestServer(t *testing.T, cfg RegistryConfig) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg RegistryConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(NewRegistry(cfg))
 	ts := httptest.NewServer(srv)
@@ -41,7 +41,7 @@ func newTestServer(t *testing.T, cfg RegistryConfig) (*Server, *httptest.Server)
 }
 
 // post sends a JSON body and decodes the JSON response into out.
-func post(t *testing.T, url, body string, out any) int {
+func post(t testing.TB, url, body string, out any) int {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -57,7 +57,7 @@ func post(t *testing.T, url, body string, out any) int {
 	return resp.StatusCode
 }
 
-func get(t *testing.T, url string, out any) int {
+func get(t testing.TB, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 	"searchspace/internal/obs"
 )
 
-func newObsTestServer(t *testing.T, cfg RegistryConfig, ocfg ObsConfig) (*Server, *httptest.Server) {
+func newObsTestServer(t testing.TB, cfg RegistryConfig, ocfg ObsConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServerObs(NewRegistry(cfg), SessionConfig{}, ocfg)
 	ts := httptest.NewServer(srv)
@@ -28,7 +28,7 @@ func newObsTestServer(t *testing.T, cfg RegistryConfig, ocfg ObsConfig) (*Server
 
 // postRaw posts a JSON body and returns the full response, so callers
 // can read headers (the JSON helpers in handlers_test.go drop them).
-func postResp(t *testing.T, url, body string) *http.Response {
+func postResp(t testing.TB, url, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -168,8 +168,9 @@ func TestTraceIntegration(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointsDisabled pins the -trace-buffer 0 behavior: request
-// IDs still flow, but trace lookups 404 with a helpful message.
+// TestTraceEndpointsDisabled pins the -trace-buffer 0 -event-buffer 0
+// behavior: request IDs still flow, but trace and event lookups 404
+// with a helpful message.
 func TestTraceEndpointsDisabled(t *testing.T) {
 	_, ts := newObsTestServer(t, RegistryConfig{}, ObsConfig{TraceBuffer: 0})
 	resp := postResp(t, ts.URL+"/v1/spaces", buildBody("off", ""))
@@ -184,6 +185,9 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 	}
 	if code := get(t, ts.URL+"/v1/trace/recent", nil); code != http.StatusNotFound {
 		t.Fatalf("trace recent with tracing off: HTTP %d, want 404", code)
+	}
+	if code := get(t, ts.URL+"/v1/events", nil); code != http.StatusNotFound {
+		t.Fatalf("events with the journal off: HTTP %d, want 404", code)
 	}
 }
 

@@ -355,18 +355,29 @@ func TestOpsHammer(t *testing.T) {
 	}
 
 	// Cross-links: every build_finish event's request id resolves to a
-	// completed trace (the ring outsizes the request count).
-	checked := 0
+	// completed trace (the ring outsizes the request count). An
+	// impatient client's handler publishes its trace only after its
+	// build's op has left the table, so a drained table does not yet
+	// mean every trace is in: wait for each, then assert.
+	var finished []obs.Event
 	for _, e := range ev.Events {
-		if e.Type != "build_finish" || e.RequestID == "" {
-			continue
+		if e.Type == "build_finish" && e.RequestID != "" {
+			finished = append(finished, e)
+		}
+	}
+	if len(finished) == 0 {
+		t.Fatal("no build_finish events carried request ids")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, e := range finished {
+		for time.Now().Before(deadline) {
+			if _, ok := srv.tracer.Get(e.RequestID); ok {
+				break
+			}
+			time.Sleep(time.Millisecond)
 		}
 		if _, ok := srv.tracer.Get(e.RequestID); !ok {
 			t.Fatalf("build_finish event %d: request id %q resolves to no trace", e.Seq, e.RequestID)
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no build_finish events carried request ids")
 	}
 }

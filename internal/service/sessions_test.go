@@ -444,7 +444,7 @@ func TestSessionCreateDuringEviction(t *testing.T) {
 // TestSessionTTL checks lazy TTL expiry, including expiry racing
 // in-flight tells (the tell completes or 404s, never corrupts).
 func TestSessionTTL(t *testing.T) {
-	srv := NewServerWith(NewRegistry(RegistryConfig{}), SessionConfig{MaxSessions: 100, TTL: 30 * time.Millisecond})
+	srv := NewServerObs(NewRegistry(RegistryConfig{}), SessionConfig{MaxSessions: 100, TTL: 30 * time.Millisecond}, DefaultObsConfig())
 	ts := newHTTPServer(t, srv)
 	spaceID := buildTuneSpace(t, ts, "ttl")
 	created := createSession(t, ts, spaceID, `{"seed": 1, "budget": {"max_evals": 100}}`)
@@ -498,7 +498,7 @@ func TestSessionTTL(t *testing.T) {
 
 // TestSessionLRUEviction checks the session table's own capacity bound.
 func TestSessionLRUEviction(t *testing.T) {
-	srv := NewServerWith(NewRegistry(RegistryConfig{}), SessionConfig{MaxSessions: 2})
+	srv := NewServerObs(NewRegistry(RegistryConfig{}), SessionConfig{MaxSessions: 2}, DefaultObsConfig())
 	ts := newHTTPServer(t, srv)
 	spaceID := buildTuneSpace(t, ts, "lru")
 	var sids []string

@@ -48,8 +48,9 @@ func columnsEqual(t *testing.T, label string, want, got *SearchSpace) {
 
 // TestBuildWithParityEveryMethod pins the determinism contract across
 // the whole method matrix: for every construction method and for
-// worker counts beyond any single domain's size, BuildWith produces
-// output byte-identical to the sequential build.
+// worker counts beyond any single domain's size (and 0, which selects
+// GOMAXPROCS), BuildWith produces output byte-identical to the
+// sequential build, with stats that name the method and the row count.
 func TestBuildWithParityEveryMethod(t *testing.T) {
 	for _, m := range Methods() {
 		seq, seqStats, err := parityProblem().BuildWith(BuildOpts{Method: m, Workers: 1})
@@ -59,15 +60,18 @@ func TestBuildWithParityEveryMethod(t *testing.T) {
 		if seqStats.Workers != 1 {
 			t.Errorf("%v sequential: stats report %d workers, want 1", m, seqStats.Workers)
 		}
-		for _, workers := range []int{2, 7} {
+		for _, workers := range []int{0, 2, 7} {
 			par, stats, err := parityProblem().BuildWith(BuildOpts{Method: m, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", m, workers, err)
 			}
 			columnsEqual(t, m.String(), seq, par)
+			if stats.Method != m || stats.Valid != par.Size() {
+				t.Errorf("%v workers=%d: stats %+v", m, workers, stats)
+			}
 			switch m {
 			case Optimized, ChainOfTrees, ChainOfTreesInterpreted:
-				if stats.Workers != workers {
+				if workers > 0 && stats.Workers != workers {
 					t.Errorf("%v workers=%d: stats report %d workers", m, workers, stats.Workers)
 				}
 			default:
@@ -79,38 +83,18 @@ func TestBuildWithParityEveryMethod(t *testing.T) {
 	}
 }
 
-// TestBuildWrappersShareTheEngine pins that the legacy entry points are
-// thin wrappers: same output, and the pre-start stop check applies to
-// every form (BuildParallel used to skip it).
-func TestBuildWrappersShareTheEngine(t *testing.T) {
-	seq, err := parityProblem().Build(Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, stats, err := parityProblem().BuildParallel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	columnsEqual(t, "BuildParallel", seq, par)
-	if stats.Workers != 4 {
-		t.Errorf("BuildParallel(4) stats report %d workers", stats.Workers)
-	}
-
-	// The construct-level pre-start stop check now covers every path.
-	alwaysStop := func() bool { return true }
-	if _, _, err := parityProblem().BuildWith(BuildOpts{Method: Optimized, Workers: 4, Stop: alwaysStop}); !errors.Is(err, ErrCanceled) {
-		t.Errorf("parallel BuildWith with pre-fired stop: %v, want ErrCanceled", err)
-	}
-	if _, _, err := parityProblem().BuildTimedStop(Optimized, alwaysStop); !errors.Is(err, ErrCanceled) {
-		t.Errorf("BuildTimedStop with pre-fired stop: %v, want ErrCanceled", err)
-	}
-}
-
 // TestBuildWithCancelNoLeak injects cancellation mid-build for the
 // parallel-capable methods and requires ErrCanceled with all worker
-// goroutines drained afterwards.
+// goroutines drained afterwards. A stop that has already fired cancels
+// before any work starts, sequential or parallel.
 func TestBuildWithCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
+	alwaysStop := func() bool { return true }
+	for _, workers := range []int{1, 4} {
+		if _, _, err := parityProblem().BuildWith(BuildOpts{Method: Optimized, Workers: workers, Stop: alwaysStop}); !errors.Is(err, ErrCanceled) {
+			t.Errorf("workers=%d with pre-fired stop: %v, want ErrCanceled", workers, err)
+		}
+	}
 	for _, m := range []Method{Optimized, ChainOfTrees, ChainOfTreesInterpreted} {
 		var polls atomic.Int64
 		_, _, err := parityProblem().BuildWith(BuildOpts{

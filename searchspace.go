@@ -294,13 +294,6 @@ func (p *Problem) Build(m Method) (*SearchSpace, error) {
 	return ss, err
 }
 
-// BuildParallel resolves the search space with the optimized solver
-// using up to workers goroutines (0 selects GOMAXPROCS). The result is
-// identical to Build(Optimized), including configuration order.
-func (p *Problem) BuildParallel(workers int) (*SearchSpace, BuildStats, error) {
-	return p.BuildWith(BuildOpts{Method: Optimized, Workers: workers})
-}
-
 // BuildTimed resolves the search space sequentially and reports timing,
 // the measurement primitive behind every figure in the evaluation (the
 // paper's numbers are single-core, so the legacy entry points pin
@@ -312,12 +305,6 @@ func (p *Problem) BuildTimed(m Method) (*SearchSpace, BuildStats, error) {
 // ErrCanceled reports a construction abandoned because its stop
 // function fired.
 var ErrCanceled = errors.New("searchspace: construction canceled")
-
-// BuildTimedStop is BuildTimed with cooperative cancellation; see
-// BuildOpts.Stop for which methods cancel mid-build.
-func (p *Problem) BuildTimedStop(m Method, stop func() bool) (*SearchSpace, BuildStats, error) {
-	return p.BuildWith(BuildOpts{Method: m, Workers: 1, Stop: stop})
-}
 
 // BuildWith resolves the search space under one execution config. It is
 // THE build path — every other Build* form is a thin wrapper — so
