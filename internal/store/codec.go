@@ -46,10 +46,16 @@ type Snapshot struct {
 // SHA-256 of the payload.
 //
 //	magic   [6]byte  "ssnap\x00"
-//	version uint16   little-endian; currently 3
+//	version uint16   little-endian; currently 6
 //	length  uint64   payload bytes
-//	payload []byte   see encodePayload
+//	payload []byte   see encodePrefix, then the cell block
 //	sum     [32]byte SHA-256 of payload
+//
+// The payload is the definition, method, build stats, bounds and row
+// count (encodePrefix), followed by the cells, column-major: each
+// column's value indices at cellWidth bytes apiece, little-endian. The
+// definition precedes the cells, so a decoder knows every column's
+// width before it reaches them.
 //
 // Compatibility contract: the version is bumped on ANY payload layout
 // change; a decoder accepts its own version and every older one it
@@ -58,22 +64,29 @@ type Snapshot struct {
 // mismatch is ErrCorrupt (quarantine it).
 var magic = [6]byte{'s', 's', 'n', 'a', 'p', 0}
 
-// Version is the current snapshot format version. Version 5 added the
-// parent space id for restrict-derived spaces after the block count
-// (version-4 and older blobs report an empty ParentID — the delta-
-// build path did not exist when they were written). Version 4 added the
-// kernel's emitted-block count after the node count (version-3 and
-// older blobs report Blocks 0). Version 3 added the enumeration
-// kernel's visited-node count after the worker count (version-2 and
-// older blobs report Nodes 0 — the stat did not exist when they were
-// written). Version 2 added the original build's worker count after
-// the valid-size field; version-1 blobs still decode (their builds
-// predate the parallel engine, so they report Workers 1, the
-// sequential path they actually ran).
-const Version uint16 = 5
+// Version is the current snapshot format version. Version 6 stores each
+// column's cells at the width its domain needs (cellWidth) instead of
+// as raw int32s: a Hotspot blob shrinks from 44 to 8 bytes per row.
+// Version 5 added the parent space id for restrict-derived spaces after
+// the block count (version-4 and older blobs report an empty ParentID —
+// the delta-build path did not exist when they were written). Version 4
+// added the kernel's emitted-block count after the node count
+// (version-3 and older blobs report Blocks 0). Version 3 added the
+// enumeration kernel's visited-node count after the worker count
+// (version-2 and older blobs report Nodes 0 — the stat did not exist
+// when they were written). Version 2 added the original build's worker
+// count after the valid-size field; version-1 blobs still decode (their
+// builds predate the parallel engine, so they report Workers 1, the
+// sequential path they actually ran). Versions 1 to 5 store every cell
+// as 4 bytes.
+const Version uint16 = 6
 
-// maxPayloadBytes bounds a declared payload length so a corrupt header
-// cannot make the decoder attempt an absurd allocation.
+// headerBytes is the size of the magic, version and length fields.
+const headerBytes = 16
+
+// maxPayloadBytes bounds a declared payload length so arithmetic on it
+// cannot overflow. It sizes no allocation: DecodeBytes works on the
+// bytes actually present.
 const maxPayloadBytes = 1 << 38 // 256 GiB
 
 // ErrCorrupt marks a blob that is structurally damaged (bad magic,
@@ -90,66 +103,133 @@ var ErrCorrupt = errors.New("store: corrupt snapshot")
 // their own.
 var ErrVersion = errors.New("store: unsupported snapshot version")
 
+// cellWidth is the number of bytes a version-6 cell takes for a
+// parameter with the given number of values: none when the only index
+// is 0, then the narrowest of 1, 2 and 4 bytes that holds every index.
+func cellWidth(domain int) int {
+	switch {
+	case domain <= 1:
+		return 0
+	case domain <= 1<<8:
+		return 1
+	case domain <= 1<<16:
+		return 2
+	}
+	return 4
+}
+
 // Encode writes snap to w in the binary snapshot format.
 func Encode(w io.Writer, snap *Snapshot) error {
-	payload, err := encodePayload(snap)
+	blob, err := EncodeBytes(snap)
 	if err != nil {
 		return err
 	}
-	var head bytes.Buffer
-	head.Write(magic[:])
-	le16(&head, Version)
-	le64(&head, uint64(len(payload)))
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	sum := sha256.Sum256(payload)
-	_, err = w.Write(sum[:])
+	_, err = w.Write(blob)
 	return err
 }
 
-// EncodeBytes renders snap as one byte slice.
+// EncodeBytes renders snap as one blob. The blob's size is known once
+// the prefix is encoded, so it is allocated exactly once and the cells
+// are narrowed straight into it.
 func EncodeBytes(snap *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, snap); err != nil {
+	prefix, err := encodePrefix(snap)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	params := snap.Def.Params
+	rows := snap.Space.Size()
+	rowBytes := 0
+	for _, p := range params {
+		rowBytes += cellWidth(len(p.Values))
+	}
+	length := len(prefix) + rows*rowBytes
+	blob := make([]byte, headerBytes+length+sha256.Size)
+	copy(blob, magic[:])
+	binary.LittleEndian.PutUint16(blob[6:], Version)
+	binary.LittleEndian.PutUint64(blob[8:], uint64(length))
+	payload := blob[headerBytes : headerBytes+length]
+	cells := payload[copy(payload, prefix):]
+	for p, col := range snap.Space.Columns() {
+		w := cellWidth(len(params[p].Values))
+		if err := narrow(cells[:rows*w], col[:rows], w, len(params[p].Values)); err != nil {
+			return nil, fmt.Errorf("store: parameter %q: %w", params[p].Name, err)
+		}
+		cells = cells[rows*w:]
+	}
+	sum := sha256.Sum256(payload)
+	copy(blob[headerBytes+length:], sum[:])
+	return blob, nil
 }
 
-// Decode parses one snapshot, verifying the checksum before trusting
-// any payload bytes and fully validating the content (definition,
-// method, column bounds) before materializing the space. Every failure
-// mode is an error — never a panic — so a hostile or bit-flipped blob
-// degrades to a cache miss.
-func Decode(r io.Reader) (*Snapshot, error) {
-	var head [16]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+// narrow writes col's value indices into dst at w bytes each. An index
+// outside the domain is refused rather than truncated, so a narrowed
+// cell can never decode to a different value than the one encoded.
+func narrow(dst []byte, col []int32, w, domain int) error {
+	dom := uint32(domain)
+	switch w {
+	case 0:
+		for r, di := range col {
+			if di != 0 {
+				return fmt.Errorf("row %d: value index %d outside domain of %d", r, di, domain)
+			}
+		}
+	case 1:
+		dst = dst[:len(col)]
+		for r, di := range col {
+			if uint32(di) >= dom {
+				return fmt.Errorf("row %d: value index %d outside domain of %d", r, di, domain)
+			}
+			dst[r] = byte(di)
+		}
+	case 2:
+		for r, di := range col {
+			if uint32(di) >= dom {
+				return fmt.Errorf("row %d: value index %d outside domain of %d", r, di, domain)
+			}
+			binary.LittleEndian.PutUint16(dst[2*r:], uint16(di))
+		}
+	default:
+		for r, di := range col {
+			binary.LittleEndian.PutUint32(dst[4*r:], uint32(di))
+		}
 	}
-	if !bytes.Equal(head[:6], magic[:]) {
+	return nil
+}
+
+// DecodeBytes parses one snapshot blob, verifying the checksum before
+// trusting any payload bytes and fully validating the content
+// (definition, method, column bounds) before materializing the space.
+// Every failure mode is an error — never a panic — so a hostile or
+// bit-flipped blob degrades to a cache miss. It decodes in place:
+// nothing is allocated on the strength of the declared length, so a
+// length field claiming more than raw holds is a truncation, not an
+// out-of-memory crash. Trailing garbage is rejected.
+func DecodeBytes(raw []byte) (*Snapshot, error) {
+	if len(raw) < headerBytes {
+		return nil, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(raw))
+	}
+	if !bytes.Equal(raw[:6], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	version := binary.LittleEndian.Uint16(head[6:8])
+	version := binary.LittleEndian.Uint16(raw[6:8])
 	if version == 0 || version > Version {
 		return nil, fmt.Errorf("%w: version %d (this binary reads 1..%d)", ErrVersion, version, Version)
 	}
-	length := binary.LittleEndian.Uint64(head[8:16])
+	length := binary.LittleEndian.Uint64(raw[8:16])
 	if length > maxPayloadBytes {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	body := uint64(len(raw) - headerBytes)
+	switch {
+	case body < length:
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, body, length)
+	case body < length+sha256.Size:
+		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
+	case body > length+sha256.Size:
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, body-length-sha256.Size)
 	}
-	var sum [32]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if sha256.Sum256(payload) != sum {
+	payload := raw[headerBytes : headerBytes+length]
+	if sha256.Sum256(payload) != [sha256.Size]byte(raw[headerBytes+length:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	snap, err := decodePayload(payload, version)
@@ -159,25 +239,12 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// DecodeBytes parses a snapshot from one byte slice, rejecting
-// trailing garbage.
-func DecodeBytes(raw []byte) (*Snapshot, error) {
-	r := bytes.NewReader(raw)
-	snap, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
-	}
-	return snap, nil
-}
-
-// encodePayload lowers the snapshot into the version-1 payload layout.
-// All integers are little-endian; strings are u32-length-prefixed UTF-8;
+// encodePrefix lowers everything before the cell block: the method,
+// the definition, the build stats, the bounds, and the row count. All
+// integers are little-endian; strings are u32-length-prefixed UTF-8;
 // floats are IEEE-754 bits (so ±Inf bound sentinels survive, which JSON
 // could not carry).
-func encodePayload(snap *Snapshot) ([]byte, error) {
+func encodePrefix(snap *Snapshot) ([]byte, error) {
 	def := snap.Def
 	if def == nil || snap.Space == nil {
 		return nil, fmt.Errorf("store: snapshot needs a definition and a space")
@@ -223,18 +290,7 @@ func encodePayload(snap *Snapshot) ([]byte, error) {
 		boolByte(&b, bd.Numeric)
 		le32(&b, uint32(bd.DistinctValues))
 	}
-	rows := snap.Space.Size()
-	le64(&b, uint64(rows))
-	// Raw int32 cells, column-major: the cheapest layout to write and to
-	// read back, and it matches the in-memory columnar form byte for
-	// byte in width.
-	scratch := make([]byte, 4*rows)
-	for _, col := range cols {
-		for i, di := range col {
-			binary.LittleEndian.PutUint32(scratch[4*i:], uint32(di))
-		}
-		b.Write(scratch)
-	}
+	le64(&b, uint64(snap.Space.Size()))
 	return b.Bytes(), nil
 }
 
@@ -251,7 +307,9 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if nParams > 1<<20 {
+	// Each count is also held to the bytes left, at the fewest bytes
+	// an entry can take, so no allocation outgrows the blob.
+	if nParams > 1<<20 || uint64(nParams)*8 > d.left() {
 		return nil, fmt.Errorf("implausible parameter count %d", nParams)
 	}
 	def := &model.Definition{Name: name, Params: make([]model.Param, nParams)}
@@ -261,7 +319,7 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if nVals > 1<<26 {
+		if nVals > 1<<26 || uint64(nVals)*2 > d.left() {
 			return nil, fmt.Errorf("implausible domain size %d for parameter %q", nVals, pname)
 		}
 		vals := make([]value.Value, nVals)
@@ -274,7 +332,7 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if nCons > 1<<20 {
+	if nCons > 1<<20 || uint64(nCons)*4 > d.left() {
 		return nil, fmt.Errorf("implausible constraint count %d", nCons)
 	}
 	def.Constraints = make([]string, nCons)
@@ -330,30 +388,62 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	if rows != valid {
 		return nil, fmt.Errorf("row count %d disagrees with recorded valid size %d", rows, valid)
 	}
-	remaining := uint64(len(d.buf) - d.pos)
-	if nParams == 0 {
+	// Every cell is 4 bytes up to version 5; from version 6 a column's
+	// width follows from its domain, which the definition above fixed.
+	widths := make([]int, nParams)
+	rowBytes := uint64(0)
+	product := uint64(1) // of the domain sizes, saturating
+	for p, param := range def.Params {
+		widths[p] = 4
+		if version >= 6 {
+			widths[p] = cellWidth(len(param.Values))
+		}
+		rowBytes += uint64(widths[p])
+		switch n := uint64(len(param.Values)); {
+		case n == 0:
+			product = 0
+		case product > math.MaxUint64/n:
+			product = math.MaxUint64
+		default:
+			product *= n
+		}
+	}
+	remaining := d.left()
+	switch {
+	case nParams == 0:
 		if rows != 0 || remaining != 0 {
 			return nil, fmt.Errorf("parameterless snapshot claims %d rows with %d data bytes", rows, remaining)
 		}
-	} else if rows > remaining/(4*uint64(nParams)) {
-		// Also the overflow guard: a checksum-valid blob can still carry
-		// an absurd row count (nothing upstream validates it), and
-		// rows*4*nParams wrapping around would otherwise defeat the size
-		// check below and panic the column allocation.
+	case rows > product:
+		// A space holds distinct configurations, so its rows cannot
+		// outnumber the cartesian product. This is what bounds a blob
+		// whose columns are all width 0: there, no amount of column data
+		// is missing, and a checksum-valid 2^62-row claim would
+		// otherwise panic the column allocation.
+		return nil, fmt.Errorf("row count %d exceeds the %d configurations of the cartesian product", rows, product)
+	case rowBytes > 0 && rows > remaining/rowBytes:
+		// Also the overflow guard: rows*rowBytes wrapping around would
+		// otherwise defeat the size check below.
 		return nil, fmt.Errorf("row count %d exceeds the column data present", rows)
 	}
-	need := rows * 4 * uint64(nParams)
-	if remaining != need {
+	if need := rows * rowBytes; remaining != need {
 		return nil, fmt.Errorf("column data is %d bytes, want %d", remaining, need)
 	}
+	// Width-0 columns share one zero-filled backing. Columns are
+	// read-only once built, and sharing keeps what a restore allocates
+	// linear in the blob's size, however many one-value parameters the
+	// definition declares.
 	cols := make([][]int32, nParams)
+	var zeros []int32
 	for p := range cols {
-		col := make([]int32, rows)
-		raw := d.bytes(int(rows) * 4)
-		for i := range col {
-			col[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		if widths[p] == 0 {
+			if zeros == nil {
+				zeros = make([]int32, rows)
+			}
+			cols[p] = zeros
+			continue
 		}
-		cols[p] = col
+		cols[p] = widen(d.bytes(int(rows)*widths[p]), int(rows), widths[p])
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -382,6 +472,27 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 		ParentID: parentID,
 		Space:    ss,
 	}, nil
+}
+
+// widen decodes rows cells of w (1, 2 or 4) bytes each into a column
+// of value indices.
+func widen(raw []byte, rows, w int) []int32 {
+	col := make([]int32, rows)
+	switch w {
+	case 1:
+		for r, c := range raw[:rows] {
+			col[r] = int32(c)
+		}
+	case 2:
+		for r := range col {
+			col[r] = int32(binary.LittleEndian.Uint16(raw[2*r:]))
+		}
+	default:
+		for r := range col {
+			col[r] = int32(binary.LittleEndian.Uint32(raw[4*r:]))
+		}
+	}
+	return col
 }
 
 // kind tags for encoded values; distinct from value.Kind so the wire
@@ -439,6 +550,9 @@ func (d *payloadReader) bytes(n int) []byte {
 	d.pos += n
 	return out
 }
+
+// left is the number of unread bytes.
+func (d *payloadReader) left() uint64 { return uint64(len(d.buf) - d.pos) }
 
 func (d *payloadReader) u32() uint32 {
 	raw := d.bytes(4)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -316,8 +317,12 @@ func (s *Store) Get(id string) (*Snapshot, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	snap, derr := Decode(f)
+	raw, derr := readBlob(f)
 	f.Close()
+	var snap *Snapshot
+	if derr == nil {
+		snap, derr = DecodeBytes(raw)
+	}
 	s.observeIO("get", getStart)
 	switch {
 	case derr == nil:
@@ -344,6 +349,22 @@ func (s *Store) Get(id string) (*Snapshot, error) {
 		s.Quarantine(id)
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, derr)
 	}
+}
+
+// readBlob reads an open blob whole into one buffer of the size the
+// file has on disk, so a restore allocates for the bytes present, never
+// for what a (possibly bit-flipped) header declares. A failed read is
+// reported as ErrCorrupt, the same as a blob that reads short.
+func readBlob(f *os.File) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("%w: stat: %v", ErrCorrupt, err)
+	}
+	raw := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("%w: read: %v", ErrCorrupt, err)
+	}
+	return raw, nil
 }
 
 // Quarantine sets the blob for id aside as `.corrupt`: it stops being
