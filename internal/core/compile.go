@@ -40,13 +40,16 @@ type state struct {
 }
 
 // newState allocates one enumeration's (or one worker's) scratch state.
+// The value views are sized by the problem's variables and the walk
+// stacks by the depths: a component's sub-Compiled (product.go) walks a
+// subset of the depths but reads variables by their problem index.
 func (c *Compiled) newState() *state {
-	n := len(c.order)
+	nv, n := len(c.names), len(c.order)
 	return &state{
-		vals:    make([]value.Value, n),
-		nums:    make([]float64, n),
-		ints:    make([]int64, n),
-		idx:     make([]int32, n),
+		vals:    make([]value.Value, nv),
+		nums:    make([]float64, nv),
+		ints:    make([]int64, nv),
+		idx:     make([]int32, nv),
 		trial:   make([]int, n),
 		pos:     make([]int, n),
 		surv:    make([][]int32, n),
@@ -75,7 +78,10 @@ type Compiled struct {
 	// plan[d], for each depth below tailStart, is how the columnar
 	// kernel walks depth d: survivor tables and cut-offs derived from
 	// prog[d] (plan.go).
-	plan    []depthPlan
+	plan []depthPlan
+	// product, when set, is the component split the columnar solvers
+	// take instead of the joint walk (product.go).
+	product *productPlan
 	empty   bool
 	maxArgs int
 	cons    []*constraint
@@ -221,6 +227,7 @@ func (p *Problem) Compile(opt Options) *Compiled {
 		}
 	}
 	c.buildPlan()
+	c.buildProduct()
 	return c
 }
 

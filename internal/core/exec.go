@@ -15,7 +15,9 @@ import (
 // batch charged as the per-node walk over it; the same accounting the
 // stop pacing uses — and Rows counts emitted solution
 // rows. Both only ever grow; a canceled run stops adding but never
-// subtracts.
+// subtracts. On the component-product path, Nodes grows by each
+// component walk's charged nodes when that walk ends, and Rows by the
+// whole row count when the product fill ends.
 type ProgressSink struct {
 	Nodes atomic.Int64
 	Rows  atomic.Int64
@@ -165,8 +167,11 @@ func (c *Compiled) splitPrefix(workers int) (k, tasks int) {
 // task from the shared queue (dynamic scheduling, so an imbalanced
 // split still uses every worker), and the tasks' rows are copied once,
 // in lexicographic prefix order — exactly the sequential enumeration
-// order — into one exactly sized backing. The canceled return reports a
-// run abandoned by Stop; it carries no rows.
+// order — into one exactly sized backing. A space that splits into
+// independent components is one task to OnProgress: each component is
+// split and solved this way in turn, and their product is written once
+// (product.go). The canceled return reports a run abandoned by Stop; it
+// carries no rows.
 //
 // python-constraint 2 gained a ParallelSolver as part of the same
 // optimization effort this package reproduces; goroutines over a shared
@@ -178,11 +183,17 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 		return c.newColumnar(0), false
 	}
 	k, tasks := c.splitPrefix(workers)
-	if workers == 1 || tasks <= 1 {
+	if c.product != nil || workers == 1 || tasks <= 1 {
 		if ex.OnProgress != nil {
 			ex.OnProgress(0, 1)
 		}
-		col, _, canceled := c.SolveColumnarStatsSink(ex.Stop, ex.Sink)
+		var col *Columnar
+		var canceled bool
+		if c.product != nil {
+			col, _, canceled = c.solveProduct(ex)
+		} else {
+			col, _, canceled = c.solveWalk(ex.Stop, ex.Sink)
+		}
 		if !canceled && ex.OnProgress != nil {
 			ex.OnProgress(1, 1)
 		}
@@ -216,9 +227,8 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 			s.reset()
 		}
 	}()
-	n := len(c.order)
 	canceled := ex.ForEachTask(tasks, func() any {
-		snk := newSink(n)
+		snk := newSink(len(c.names))
 		mu.Lock()
 		sinks = append(sinks, snk)
 		mu.Unlock()

@@ -31,10 +31,17 @@ import (
 // the deepest constrained depth has no per-candidate check left, its
 // whole walk list is emitted at depth entry as one batch of blocks; the
 // batch is charged the nodes and blocks the per-node walk would have
-// spent, so EnumStats and the stop cadence do not change. Rows go to a
-// sink of pooled fixed-size chunks and are copied once, at the end,
-// into one exactly sized backing array. Emission order is exactly the
-// order the per-node walk would have produced, so output stays
+// spent, so EnumStats and the stop cadence do not change.
+//
+// Output takes one of two paths. A space whose constrained depths form
+// one component is walked as one tree: rows go to a sink of pooled
+// fixed-size chunks and are copied once, at the end, into one exactly
+// sized backing array. A space whose constrained depths split into
+// independent components (product.go) solves each component with this
+// walk, and then, knowing the row count, allocates the exact backing
+// once and writes every cell of the product into it once: no chunks and
+// no copy. Either way, emission order is exactly the order the per-node
+// walk over the whole space would have produced, so output stays
 // byte-identical (the contract the golden parity suite and the
 // service's compare checksums verify).
 
@@ -548,7 +555,10 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 // entry plus the pop, and one block per entry. Survivor tables and
 // cut-offs skip values outright, so Nodes is below what
 // SolveColumnarRef counts for the same space: that count is the plain
-// walk's, not a like-for-like baseline.
+// walk's, not a like-for-like baseline. On the component-product path
+// (product.go), Nodes sums the component walks' nodes, Blocks counts the
+// cartesian blocks the fill writes (one per distinct prefix of the
+// depths above its split) and BlockRows is again every row.
 type EnumStats struct {
 	Nodes     int64
 	Blocks    int64
@@ -960,12 +970,23 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 // execution stats: constrained node visits, bulk blocks and block rows.
 // ps, when non-nil, sees node and row counts grow while the enumeration
 // runs. The rows land in one exactly sized backing array; a canceled run
-// returns no rows.
+// returns no rows. A space whose constrained depths split into
+// independent components takes the product path (product.go); any
+// other space is walked as one tree (solveWalk).
 func (c *Compiled) SolveColumnarStatsSink(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
-	var es EnumStats
 	if c.empty || len(c.order) == 0 {
-		return c.newColumnar(0), es, false
+		return c.newColumnar(0), EnumStats{}, false
 	}
+	if c.product != nil {
+		return c.solveProduct(Exec{Workers: 1, Stop: stop, Sink: ps})
+	}
+	return c.solveWalk(stop, ps)
+}
+
+// solveWalk is the sequential columnar solve as one planned walk: rows
+// go to a pooled chunk sink and are copied once into the exact output.
+func (c *Compiled) solveWalk(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
+	var es EnumStats
 	snk := newSink(len(c.names))
 	defer snk.reset()
 	if c.enumColumnar(snk, nil, c.newState(), stop, &es, ps) {

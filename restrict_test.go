@@ -33,9 +33,11 @@ func loadGoldenRecords(t *testing.T) map[string]goldenRecord {
 // reproduce the golden fresh-build enumeration byte for byte — every
 // method, superset built at workers 1 and 7. The golden checksums are
 // the same ones the solver parity suite pins, so restrict is held to
-// exactly the fresh-build contract.
+// exactly the fresh-build contract. A sequential method's superset is
+// built once and restricted for both worker counts.
 func TestRestrictGoldenParity(t *testing.T) {
 	want := loadGoldenRecords(t)
+	parents := map[string]*SearchSpace{}
 	for _, tc := range goldenCases() {
 		child := tc.problem().Definition()
 		// The delta must be a string constraint; the superset must
@@ -54,9 +56,16 @@ func TestRestrictGoldenParity(t *testing.T) {
 					if !ok {
 						t.Fatalf("no golden record for %s/%s", tc.name, m)
 					}
-					parent, _, err := FromDefinition(superset).BuildWith(BuildOpts{Method: m, Workers: workers})
-					if err != nil {
-						t.Fatalf("build superset: %v", err)
+					parent, ok := parents[tc.name+"/"+m.String()]
+					if !ok {
+						var err error
+						parent, _, err = FromDefinition(superset).BuildWith(BuildOpts{Method: m, Workers: workers})
+						if err != nil {
+							t.Fatalf("build superset: %v", err)
+						}
+						if !m.Parallelizable() {
+							parents[tc.name+"/"+m.String()] = parent
+						}
 					}
 					ss, stats, err := RestrictWith(parent, FromDefinition(child), BuildOpts{Method: m})
 					if err != nil {

@@ -231,7 +231,10 @@ type BuildStats struct {
 	// kernel's structural win on constraint-sparse spaces. Nodes counts
 	// visited nodes plus emitted tail blocks; Blocks breaks out the
 	// block component so telemetry can show how much of the walk the
-	// bulk expansion skipped.
+	// bulk expansion skipped. A space whose constraints split into
+	// independent parameter groups is solved one group at a time and
+	// their product written out: there, the visited nodes are the
+	// groups' walks and the blocks are the product's cartesian blocks.
 	Nodes  int64
 	Blocks int64
 }
