@@ -340,7 +340,7 @@ func benchSolveColumnar(b *testing.B, def *model.Definition, ref bool) {
 
 // BenchmarkSolveColumnarSuite runs the columnar kernel over the eight
 // Table 2 spaces per op, so `-benchtime 1x` exercises the whole output
-// path (pooled chunks, leaf batches, the exact-size copy) on every
+// path (pooled chunks, product blocks, the exact-size copy) on every
 // space.
 func BenchmarkSolveColumnarSuite(b *testing.B) {
 	defs := workloads.RealWorld()

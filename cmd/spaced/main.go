@@ -190,7 +190,13 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := httpSrv.Shutdown(ctx); err == nil {
+		// A build or restore finishing as the server stops still writes
+		// the snapshots of what it evicted; let those land before
+		// exiting. (A drain that timed out leaves requests and their
+		// builds running, so it does not wait.)
+		reg.Wait()
+	} else if !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown", "err", err)
 	}
 	logger.Info("final cache state", "cache", reg.Stats().String())

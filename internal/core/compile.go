@@ -24,19 +24,20 @@ type entry struct {
 // walk's trial stack, and a scratch buffer for Go-func constraints. pos
 // and surv, indexed by depth, hold the columnar walk's assigned domain
 // positions and the candidate lists it iterates (see depthPlan).
-// batched and declined tally leaf-depth entries emitted as one batch and
-// entries walked per node because a batch would have crossed a poll
-// point; the plan tests read them.
+// products, deep and declined tally the depth entries emitted as one
+// product block, those of them that spanned more than one constrained
+// depth, and the entries walked per node because a product block would
+// have crossed a poll point; the plan tests read them.
 type state struct {
-	vals              []value.Value
-	nums              []float64
-	ints              []int64
-	idx               []int32
-	trial             []int
-	pos               []int
-	surv              [][]int32
-	scratch           []value.Value
-	batched, declined int
+	vals                     []value.Value
+	nums                     []float64
+	ints                     []int64
+	idx                      []int32
+	trial                    []int
+	pos                      []int
+	surv                     [][]int32
+	scratch                  []value.Value
+	products, deep, declined int
 }
 
 // newState allocates one enumeration's (or one worker's) scratch state.
@@ -79,6 +80,9 @@ type Compiled struct {
 	// kernel walks depth d: survivor tables and cut-offs derived from
 	// prog[d] (plan.go).
 	plan []depthPlan
+	// prodFrom is the depth from which the constrained depths' walk
+	// lists form a product (productFrom); tailStart when none does.
+	prodFrom int
 	// product, when set, is the component split the columnar solvers
 	// take instead of the joint walk (product.go).
 	product *productPlan

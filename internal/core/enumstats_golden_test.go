@@ -19,8 +19,8 @@ func TestEnumStatsGolden(t *testing.T) {
 	want := map[string]core.EnumStats{
 		"Dedispersion": {Nodes: 148, Blocks: 1, BlockRows: 10800},
 		"ExpDist":      {Nodes: 119, Blocks: 1792, BlockRows: 302400},
-		"Hotspot":      {Nodes: 779669, Blocks: 347628, BlockRows: 347628},
-		"GEMM":         {Nodes: 118359, Blocks: 30426, BlockRows: 121704},
+		"Hotspot":      {Nodes: 690091, Blocks: 347628, BlockRows: 347628},
+		"GEMM":         {Nodes: 112919, Blocks: 30426, BlockRows: 121704},
 		"MicroHH":      {Nodes: 177369, Blocks: 130876, BlockRows: 130876},
 		"ATF PRL 2x2":  {Nodes: 372, Blocks: 441, BlockRows: 1521},
 		"ATF PRL 4x4":  {Nodes: 1486, Blocks: 10404, BlockRows: 23104},

@@ -11,8 +11,8 @@ import (
 // few thousand charged nodes) and at each task boundary, so a reader
 // polling the atomics sees a build move in near real time without the
 // kernel taking any lock. Nodes counts charged node visits — walked
-// loop iterations plus each bulk block's whole subtree, with a leaf
-// batch charged as the per-node walk over it; the same accounting the
+// loop iterations plus each bulk block's whole subtree, with a product
+// block charged as the per-node walk over it; the same accounting the
 // stop pacing uses — and Rows counts emitted solution
 // rows. Both only ever grow; a canceled run stops adding but never
 // subtracts. On the component-product path, Nodes grows by each

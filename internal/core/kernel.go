@@ -26,12 +26,15 @@ import (
 // block of their domains straight into columnar storage as
 // repeated/tiled index runs instead of visiting every node; a one-row
 // block writes one cell per column. The constrained depths above the
-// tail follow the walk plan (plan.go): survivor tables and monotone
-// cut-offs skip only values the instruction tables would reject. When
-// the deepest constrained depth has no per-candidate check left, its
-// whole walk list is emitted at depth entry as one batch of blocks; the
-// batch is charged the nodes and blocks the per-node walk would have
-// spent, so EnumStats and the stop cadence do not change.
+// tail follow the walk plan (plan.go): survivor tables, monotone and
+// envelope cut-offs skip only values whose subtrees hold no valid row.
+// Where the trailing constrained depths have no per-candidate check left
+// and each one's walk list depends only on the depths above them (the
+// plan's product depth), the walk, on entering one of them, takes every
+// remaining depth's list once and emits their product times the tail as
+// one cartesian block. The block is charged the nodes and blocks the
+// per-node walk would have spent, so EnumStats and the stop cadence do
+// not change.
 //
 // Output takes one of two paths. A space whose constrained depths form
 // one component is walked as one tree: rows go to a sink of pooled
@@ -550,9 +553,10 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 // per depth entry, which is also what a walk that tried candidates up
 // to the first cut-off failure would count. Blocks
 // counts the bulk tail expansions, and BlockRows the rows those blocks
-// emitted without per-node visits. A leaf depth emitted as one batch is
-// charged what the per-node walk would have charged: one node per list
-// entry plus the pop, and one block per entry. Survivor tables and
+// emitted without per-node visits. A product block over the trailing
+// constrained depths is charged what the per-node walk would have
+// charged: at each depth one node per list entry plus the pop, and one
+// block per row of the lists' product. Survivor tables and
 // cut-offs skip values outright, so Nodes is below what
 // SolveColumnarRef counts for the same space: that count is the plain
 // walk's, not a like-for-like baseline. On the component-product path
@@ -593,9 +597,10 @@ type chunk struct {
 // in emission order. When the run ends, copyRows moves them once into an
 // exactly sized output and reset hands the chunks back to the pool. A
 // parallel worker keeps one sink for all its tasks and records each
-// task's row range in it. A leaf batch is written as one run, split only
-// where it would overflow a chunk; its EnumStats Nodes and Blocks are
-// what the per-node walk would have charged, not the one step it takes.
+// task's row range in it. A product block is written as one run, split
+// only where it would overflow a chunk; its EnumStats Nodes and Blocks
+// are what the per-node walk would have charged, not the one step it
+// takes.
 type sink struct {
 	nvars     int
 	chunkRows int // row capacity of a pooled chunk
@@ -678,7 +683,7 @@ func (c *Compiled) newColumnar(rows int) *Columnar {
 }
 
 // fillInt32 sets every element of seg to v: a plain loop for the short
-// runs one-row blocks and leaf batches produce, doubling copies for long
+// runs one-row and product blocks produce, doubling copies for long
 // ones (Go has no typed memset).
 func fillInt32(seg []int32, v int32) {
 	if len(seg) <= 32 {
@@ -693,73 +698,87 @@ func fillInt32(seg []int32, v int32) {
 	}
 }
 
-// emitLeaves appends one block per entry of list, the domain positions
-// of depth blockStart-1 in walk order: the rows the per-node walk would
-// have emitted trying each entry in turn. The list is split so that
-// every run fits a pooled chunk.
-func (c *Compiled) emitLeaves(snk *sink, idx []int32, list []int32, blockStart, blockRows int) {
-	per := max(1, snk.chunkRows/blockRows)
-	for len(list) > 0 {
-		m := min(per, len(list))
-		c.emitBlock(snk, idx, list[:m], blockStart, blockRows)
-		list = list[m:]
+// emitBlock appends to the sink the cartesian block below depth from:
+// every depth before from keeps its st.idx assignment, every
+// constrained depth from on takes the domain positions of its walk list
+// st.surv[d], and every tail depth its whole domain, whose product is
+// tailRows rows. Rows land in exactly the order the per-node walk would
+// have emitted them: depth from varies slowest, the deepest depth
+// fastest, each list in walk order. The block is split along depth
+// from's list so that every piece fits a pooled chunk.
+func (c *Compiled) emitBlock(snk *sink, st *state, from, tailRows int) {
+	inner := tailRows
+	for d := from + 1; d < c.tailStart; d++ {
+		inner *= len(st.surv[d])
 	}
+	if from >= c.tailStart || inner == 0 {
+		c.writeBlock(snk, st, from, inner)
+		return
+	}
+	list := st.surv[from]
+	per := max(1, snk.chunkRows/inner)
+	for rest := list; len(rest) > 0; {
+		m := min(per, len(rest))
+		st.surv[from] = rest[:m]
+		c.writeBlock(snk, st, from, m*inner)
+		rest = rest[m:]
+	}
+	st.surv[from] = list
 }
 
-// emitBlock appends the cartesian block of the solve-order domains
-// [blockStart, n) to the sink, with every variable before blockStart
-// pinned to its current idx assignment. Rows land in exactly the order
-// the per-node walk would have emitted them: depth blockStart varies
-// slowest, the deepest depth fastest, each domain in entry order. A
-// non-nil list emits one such block per entry instead, depth
-// blockStart-1 taking the entry's domain position in list order.
-func (c *Compiled) emitBlock(snk *sink, idx []int32, list []int32, blockStart, blockRows int) {
-	leaf := -1
-	count := 1
-	if list != nil {
-		leaf, count = blockStart-1, len(list)
+// writeBlock writes one piece of emitBlock's block, rows rows, into
+// newly reserved sink rows.
+func (c *Compiled) writeBlock(snk *sink, st *state, from, rows int) {
+	if rows == 0 {
+		return
 	}
-	rows := count * blockRows
 	buf, stride, base := snk.reserve(rows)
 	if rows == 1 {
 		// A single-valued tail (common: fixed parameters sort last)
-		// makes every block one row; write one cell per column.
+		// makes many blocks one row; write one cell per column.
 		for d, vi := range c.order {
-			v := idx[vi]
-			if d >= blockStart {
+			v := st.idx[vi]
+			if d >= max(from, c.tailStart) {
 				v = c.doms[d][0].orig
-			} else if d == leaf {
-				v = c.doms[d][list[0]].orig
+			} else if d >= from {
+				v = c.doms[d][st.surv[d][0]].orig
 			}
 			buf[vi*stride+base] = v
 		}
 		return
 	}
-	for d := 0; d < blockStart; d++ {
+	for d := 0; d < from; d++ {
 		vi := c.order[d]
-		seg := buf[vi*stride+base : vi*stride+base+rows]
-		if d != leaf {
-			fillInt32(seg, idx[vi])
-			continue
-		}
-		dom := c.doms[d]
-		for j, p := range list {
-			fillInt32(seg[j*blockRows:(j+1)*blockRows], dom[p].orig)
-		}
+		fillInt32(buf[vi*stride+base:][:rows], st.idx[vi])
 	}
 	inner := 1
-	for d := len(c.order) - 1; d >= blockStart; d-- {
+	for d := len(c.order) - 1; d >= from; d-- {
 		vi := c.order[d]
 		dom := c.doms[d]
-		seg := buf[vi*stride+base : vi*stride+base+rows]
-		if len(dom) == 1 {
-			fillInt32(seg, dom[0].orig)
+		seg := buf[vi*stride+base:][:rows]
+		var list []int32
+		n := len(dom)
+		if d < c.tailStart {
+			list = st.surv[d]
+			n = len(list)
+		}
+		if n == 1 {
+			v := dom[0].orig
+			if list != nil {
+				v = dom[list[0]].orig
+			}
+			fillInt32(seg, v)
 			continue
 		}
-		// One period: each remaining domain value repeated inner times…
+		// One period: each of the depth's values repeated inner
+		// times…
 		p := 0
-		for k := range dom {
-			fillInt32(seg[p:p+inner], dom[k].orig)
+		for k := range n {
+			pk := k
+			if list != nil {
+				pk = int(list[k])
+			}
+			fillInt32(seg[p:p+inner], dom[pk].orig)
 			p += inner
 		}
 		// …then tiled across the run by doubling copies (every block
@@ -767,7 +786,7 @@ func (c *Compiled) emitBlock(snk *sink, idx []int32, list []int32, blockStart, b
 		for p < rows {
 			p += copy(seg[p:], seg[:p])
 		}
-		inner *= len(dom)
+		inner *= n
 	}
 }
 
@@ -849,7 +868,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		if stop != nil && stop() {
 			return true
 		}
-		c.emitBlock(snk, st.idx, nil, blockStart, int(blockRows))
+		c.emitBlock(snk, st, blockStart, int(blockRows))
 		if es != nil {
 			es.Blocks++
 			es.BlockRows += blockRows
@@ -861,11 +880,12 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		return false
 	}
 
-	// leaf is the deepest constrained depth. With no per-candidate
-	// instruction left there, every listed candidate emits a block, so
-	// the whole list goes out as one batch at depth entry.
+	// leaf is the deepest constrained depth. Entering any depth from
+	// prod on, the walk lists of that depth and every deeper constrained
+	// one depend only on the depths above the plan's product depth, so
+	// its whole subtree is one product block.
 	leaf := blockStart - 1
-	batchLeaf := len(c.plan[leaf].prog) == 0
+	prod := max(c.prodFrom, k+1)
 	trial := st.trial
 	depth := k
 	trial[depth] = -1
@@ -927,27 +947,38 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			// valid, so emit the remaining domains as one block and
 			// charge its node count in bulk (keeping the stop cadence
 			// of the per-node walk without visiting its nodes).
-			c.emitBlock(snk, st.idx, nil, blockStart, int(blockRows))
+			c.emitBlock(snk, st, blockStart, int(blockRows))
 			nodes += tailNodes
 			blocks++
 			continue
 		}
 		depth++
 		trial[depth] = -1
-		list := c.candidates(depth, st)
-		st.surv[depth] = list
-		if depth == leaf && batchLeaf {
-			// The per-node walk would try every entry, emit its block
-			// and pop. Take that as one batch when its whole charge
-			// ends at or before the next poll point: then no poll falls
-			// inside it, and the walk polls where it would have.
-			charge := int64(len(list))*(1+tailNodes) + 1
+		st.surv[depth] = c.candidates(depth, st)
+		if depth >= prod {
+			// The per-node walk would try every entry of the product,
+			// emit a block per leaf entry and pop each depth. Take that
+			// as one block when its whole charge ends at or before the
+			// next poll point: then no poll falls inside it, and the
+			// walk polls where it would have.
+			charge, leaves := tailNodes, int64(1)
+			for t := leaf; t >= depth; t-- {
+				if t > depth {
+					st.surv[t] = c.candidates(t, st)
+				}
+				size := int64(len(st.surv[t]))
+				charge = size*(1+charge) + 1
+				leaves *= size
+			}
 			if nodes+charge <= nextPoll {
-				c.emitLeaves(snk, st.idx, list, blockStart, int(blockRows))
+				c.emitBlock(snk, st, depth, int(blockRows))
 				nodes += charge
-				blocks += int64(len(list))
+				blocks += leaves
+				if depth < leaf {
+					st.deep++
+				}
+				st.products++
 				depth--
-				st.batched++
 			} else {
 				st.declined++
 			}

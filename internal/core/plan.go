@@ -9,9 +9,10 @@ import (
 
 // This file builds the walk plan enumColumnar follows: per constrained
 // depth, which candidates the walk tries and which instructions it runs
-// on each. Two compile-time moves take work out of the walk without
-// changing any accept/reject decision — every candidate is still
-// accepted exactly when runProg would accept it over c.prog[d]:
+// on each. Three compile-time moves take work out of the walk without
+// changing any accept/reject decision — every candidate with a valid
+// completion is still accepted exactly when runProg would accept it over
+// c.prog[d]:
 //
 //   - Survivor tables. Instructions whose reads of earlier depths fit in
 //     at most two key depths, with a small enough tuple space, are
@@ -35,14 +36,16 @@ import (
 // significant, strides parallel to keys). A depth with nothing tabled has
 // no keys and one list: its whole domain. cut holds the instructions
 // that fail for every later candidate once they fail, applied once per
-// depth entry (see candidates); prog holds the rest, run per candidate.
+// depth entry (see candidates); its last envelopes entries are envelope
+// copies of deeper instructions. prog holds the rest, run per candidate.
 type depthPlan struct {
-	keys    []int
-	strides []int
-	off     []int32
-	surv    []int32
-	cut     []instr
-	prog    []instr
+	keys      []int
+	strides   []int
+	off       []int32
+	surv      []int32
+	cut       []instr
+	envelopes int
+	prog      []instr
 }
 
 // survivors returns the candidate positions for the key depths'
@@ -55,13 +58,118 @@ func (pl *depthPlan) survivors(pos []int) []int32 {
 	return pl.surv[pl.off[t]:pl.off[t+1]]
 }
 
-// buildPlan fills c.plan for every constrained depth.
+// buildPlan fills c.plan for every constrained depth, adds the envelope
+// cut-offs and finds the product depth.
 func (c *Compiled) buildPlan() {
 	c.plan = make([]depthPlan, c.tailStart)
 	st := c.newState()
 	for d := range c.plan {
 		c.plan[d] = c.planDepth(d, st)
 	}
+	for h := range c.plan {
+		for i := range c.prog[h] {
+			ins := &c.prog[h][i]
+			if ins.op != opNumCmp {
+				continue
+			}
+			for _, vi := range ins.vars {
+				d := c.pos[vi]
+				if d >= h || len(c.doms[d]) < 2 {
+					continue
+				}
+				if env, ok := c.envelope(ins, d); ok && c.failsUpward(&env, d) {
+					c.plan[d].cut = append(c.plan[d].cut, env)
+					c.plan[d].envelopes++
+				}
+			}
+		}
+	}
+	c.prodFrom = c.productFrom()
+}
+
+// envelope returns a copy of the opNumCmp instruction ins that reads
+// only depths up to d: each variable y it reads after d is replaced by
+// the end of y's domain that makes every comparison link easiest to
+// pass — the minimum when a link's failure grows with y, the maximum
+// when it shrinks. numDirections' intervals span every remaining domain,
+// so that monotonicity in y holds whatever the other variables are; if
+// the full check passes for some completion, moving each y in turn to
+// its end keeps it passing, so the envelope passes too. It declines when
+// links disagree on an end, an ==/!= link moves with y, or y's domain is
+// not numeric and finite. The ends are domain values, so Compile's
+// exactness bound covers the copy.
+func (c *Compiled) envelope(ins *instr, d int) (instr, bool) {
+	env := *ins
+	env.num = slices.Clone(ins.num)
+	env.vars = nil
+	for _, y := range ins.vars {
+		if c.pos[y] <= d {
+			env.vars = append(env.vars, y)
+			continue
+		}
+		lo, ok := c.finiteMin(y)
+		if !ok {
+			return instr{}, false
+		}
+		// worse: the direction in y in which some link gets harder to pass.
+		worse := dirConst
+		dirs := c.numDirections(ins, y)
+		for j, op := range ins.cmpOps {
+			diff := dirAdd(dirs[j], dirNeg(dirs[j+1]))
+			switch op {
+			case expr.OpLt, expr.OpLe:
+			case expr.OpGt, expr.OpGe:
+				diff = dirNeg(diff)
+			default:
+				if diff != dirConst {
+					return instr{}, false
+				}
+			}
+			if worse = dirAdd(worse, diff); worse == dirAny {
+				return instr{}, false
+			}
+		}
+		end := lo
+		if worse == dirDown {
+			_, end = domainMinMax(c.doms[c.pos[y]])
+		}
+		for j := range env.num {
+			if ni := &env.num[j]; ni.op == nPushVar && ni.slot == y {
+				*ni = numInstr{op: nPushConst, imm: end}
+			}
+		}
+	}
+	return env, true
+}
+
+// productFrom returns the shallowest depth pf from which the walk's
+// remaining constrained depths form a product: every depth t from pf to
+// the deepest constrained depth has no per-candidate instruction, keys
+// its survivor table only on depths before pf, and has cut-offs that
+// read only depths before pf and t itself. Each such depth's walk list
+// then depends only on the depths before pf, so the subtree below an
+// assignment of them is the cartesian product of those lists and the
+// tail. It returns tailStart when the deepest constrained depth has a
+// per-candidate instruction.
+func (c *Compiled) productFrom() int {
+	pf := c.tailStart
+	for ; pf > 0; pf-- {
+		p := pf - 1
+		for t := p; t < c.tailStart; t++ {
+			pl := &c.plan[t]
+			if len(pl.prog) != 0 || len(pl.keys) != 0 && pl.keys[len(pl.keys)-1] >= p {
+				return pf
+			}
+			for i := range pl.cut {
+				for _, vi := range pl.cut[i].vars {
+					if r := c.pos[vi]; r >= p && r != t {
+						return pf
+					}
+				}
+			}
+		}
+	}
+	return pf
 }
 
 // planDepth splits depth d's instruction table into tabled, cut and

@@ -118,9 +118,10 @@ func randomDomain(rng *rand.Rand, shape, size int) []value.Value {
 // must return exactly the brute-force rows in solve order. The domains
 // and constraints are drawn so that survivor tables, cut-offs, table
 // fall-backs (3+ earlier variables, tuple spaces over memoTableMax), the
-// expression-predicate escape hatch, a native Go function, leaf-depth
-// batches (plain and after a cut-off) and batches declined at a poll
-// point all occur; the test fails if any of them never does.
+// expression-predicate escape hatch, a native Go function, envelope
+// cut-offs that drop a candidate, product blocks (after a cut-off and
+// over several depths) and product blocks declined at a poll point all
+// occur; the test fails if any of them never does.
 func TestPlanMatchesBruteForceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := []string{
@@ -153,12 +154,12 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		"%s * %s - %s <= %d",
 		"%s * %s * %s <= %d",
 	}
-	var cuts, tables, fallbacks, preds, goFuncs, batches, cutBatches, declined int
+	var cuts, tables, fallbacks, preds, goFuncs, envelopes, products, cutProducts, deep, declined int
 	for trial := 0; trial < 132; trial++ {
 		nvars := 3 + rng.Intn(3)
 		// The last trials draw four domains of 10 to 15 values: their
-		// walks charge more than one poll window, so leaf batches meet
-		// poll points and some are declined.
+		// walks charge more than one poll window, so product blocks
+		// meet poll points and some are declined.
 		long := trial >= 120
 		wide := trial%3 == 0 && !long
 		if wide || long {
@@ -236,16 +237,15 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		if hasOp(c, opPred) {
 			preds++
 		}
-		if !c.empty && c.tailStart > 0 {
-			st := c.newState()
-			snk := newSink(len(c.order))
-			c.enumColumnar(snk, nil, st, nil, nil, nil)
-			snk.reset()
-			batches += st.batched
-			if len(c.plan[c.tailStart-1].cut) != 0 {
-				cutBatches += st.batched
-			}
-			declined += st.declined
+		pr, dp, dc := walkTallies(c)
+		products += pr
+		if !c.empty && c.tailStart > 0 && len(c.plan[c.tailStart-1].cut) != 0 {
+			cutProducts += pr
+		}
+		deep += dp
+		declined += dc
+		if envelopeTaken(p) {
+			envelopes++
 		}
 		want := bruteIndexRows(t, vars, cons, keep)
 		assertRowOrder(t, c.Order(), want, c.SolveColumnar(), label)
@@ -256,10 +256,11 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		assertRowOrder(t, c.Order(), want, par, label+" (7 workers)")
 	}
 	t.Logf("cut instructions %d, keyed tables %d, untabled instructions %d, problems with predicates %d, Go funcs %d, "+
-		"leaf batches %d (%d after cut-offs), batches declined at a poll point %d",
-		cuts, tables, fallbacks, preds, goFuncs, batches, cutBatches, declined)
+		"problems where an envelope cut dropped a candidate %d, product blocks %d (%d after cut-offs, %d over several depths), "+
+		"product blocks declined at a poll point %d",
+		cuts, tables, fallbacks, preds, goFuncs, envelopes, products, cutProducts, deep, declined)
 	if cuts == 0 || tables == 0 || fallbacks == 0 || preds == 0 || goFuncs == 0 ||
-		batches == 0 || cutBatches == 0 || declined == 0 {
+		envelopes == 0 || products == 0 || cutProducts == 0 || deep == 0 || declined == 0 {
 		t.Fatal("the random problems no longer reach every walk-plan path")
 	}
 }
@@ -373,10 +374,11 @@ func hotspotProblem(t *testing.T) *Problem {
 	})
 }
 
-// TestHotspotPlanShape pins the two walk-plan moves on Hotspot's two
-// hottest depths: the divisibility check at loop_unroll_factor_t
-// becomes a survivor table keyed on temporal_tiling_factor, and the
-// shared-memory product becomes a cut-off at tile_size_y.
+// TestHotspotPlanShape pins the walk-plan moves on Hotspot's hottest
+// depths: the divisibility check at loop_unroll_factor_t becomes a
+// survivor table keyed on temporal_tiling_factor, the shared-memory
+// product becomes a cut-off at tile_size_y and an envelope cut-off at
+// tile_size_x, and the product block starts at tile_size_y.
 func TestHotspotPlanShape(t *testing.T) {
 	p := hotspotProblem(t)
 	c := p.Compile(DefaultOptions())
@@ -391,6 +393,19 @@ func TestHotspotPlanShape(t *testing.T) {
 	if len(ty.cut) != 1 || ty.cut[0].op != opNumCmp || len(ty.prog) != 0 {
 		t.Fatalf("tile_size_y plan: %d cut, %d per candidate; want the shared-memory opNumCmp as its one cut-off",
 			len(ty.cut), len(ty.prog))
+	}
+	tx := c.plan[depth("tile_size_x")]
+	if tx.envelopes != 1 || len(tx.cut) != 1 || tx.cut[0].op != opNumCmp || len(tx.prog) != 0 {
+		t.Fatalf("tile_size_x plan: %d cut (%d envelopes), %d per candidate; want the shared-memory envelope as its one cut-off",
+			len(tx.cut), tx.envelopes, len(tx.prog))
+	}
+	for _, vi := range tx.cut[0].vars {
+		if c.pos[vi] > depth("tile_size_x") {
+			t.Fatalf("tile_size_x's envelope reads %s, which is assigned later", c.names[vi])
+		}
+	}
+	if c.prodFrom != depth("tile_size_y") {
+		t.Fatalf("product depth %d, want tile_size_y's %d", c.prodFrom, depth("tile_size_y"))
 	}
 	assertColumnarEqualRef(t, c, "hotspot")
 }

@@ -34,9 +34,16 @@ func buildBody(name, method string) string {
 
 func newTestServer(t testing.TB, cfg RegistryConfig) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(NewRegistry(cfg))
+	reg := NewRegistry(cfg)
+	srv := NewServer(reg)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	// A build or restore demotes what it evicted after its waiters
+	// return; wait for those store writes before the test's temporary
+	// directories are removed.
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Wait()
+	})
 	return srv, ts
 }
 

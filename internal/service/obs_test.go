@@ -20,9 +20,15 @@ import (
 
 func newObsTestServer(t testing.TB, cfg RegistryConfig, ocfg ObsConfig) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServerObs(NewRegistry(cfg), SessionConfig{}, ocfg)
+	reg := NewRegistry(cfg)
+	srv := NewServerObs(reg, SessionConfig{}, ocfg)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	// As in newTestServer: let demotion writes land before the test's
+	// temporary directories are removed.
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Wait()
+	})
 	return srv, ts
 }
 

@@ -227,6 +227,25 @@ type Registry struct {
 	// own lock: attribution rides the query hot path.
 	usageMu sync.Mutex
 	usage   map[string]*spaceUsage
+
+	// workers counts the build and restore goroutines, which run on past
+	// their waiters to demote what their insert evicted (see Wait).
+	workers sync.WaitGroup
+}
+
+// Wait blocks until every build and restore goroutine started so far
+// has finished, its evictions' demotion writes included. Call it after
+// the server stops taking requests, before the store's directory goes
+// away or the process exits.
+func (r *Registry) Wait() { r.workers.Wait() }
+
+// spawn runs fn on a goroutine that Wait waits for.
+func (r *Registry) spawn(fn func()) {
+	r.workers.Add(1)
+	go func() {
+		defer r.workers.Done()
+		fn()
+	}()
 }
 
 // SetEvictionHook registers the eviction callback; call before serving.
@@ -428,7 +447,7 @@ func (r *Registry) GetOrBuildN(ctx context.Context, def *model.Definition, metho
 			r.entries[id] = e
 			r.mu.Unlock()
 
-			go r.restoreEntry(e)
+			r.spawn(func() { r.restoreEntry(e) })
 
 			select {
 			case <-e.ready:
@@ -488,7 +507,7 @@ func (r *Registry) GetOrBuildN(ctx context.Context, def *model.Definition, metho
 		r.misses++
 		r.mu.Unlock()
 
-		go r.buildEntry(e)
+		r.spawn(func() { r.buildEntry(e) })
 
 		select {
 		case <-e.ready:
@@ -1111,7 +1130,7 @@ func (r *Registry) LookupOrRestore(ctx context.Context, id string) (*Entry, bool
 			}
 			r.entries[id] = e
 			r.mu.Unlock()
-			go r.restoreEntry(e)
+			r.spawn(func() { r.restoreEntry(e) })
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
