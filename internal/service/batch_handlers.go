@@ -445,7 +445,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 				bw.Write(strconv.AppendInt(scratch[:0], int64(di), 10))
 				continue
 			}
-			cell, err := ValueDoc{V: params[p].Values[di]}.MarshalJSON()
+			cell, err := ValueDoc{V: params[p].Values[di]}.appendJSON(scratch[:0])
 			if err != nil {
 				// Unreachable for decoded domains (all four kinds encode);
 				// emit null rather than corrupt the stream mid-page.

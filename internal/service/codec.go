@@ -17,8 +17,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 
 	"searchspace"
 	"searchspace/internal/model"
@@ -50,6 +50,13 @@ type ParamDoc struct {
 // round-trip with their kinds intact. Plain encoding/json would decode
 // every number as float64 and re-encode 2.0 as 2, silently turning
 // float domains into int domains across one hop.
+//
+// Both directions work on the bytes directly, with no per-value decoder
+// and no reflection: every route that carries values decodes and
+// encodes them through here, so a batch of a few hundred values costs
+// microseconds, not a decoder allocation each. Anything past the plain
+// cases (escapes, control bytes, non-ASCII, HTML-sensitive bytes) goes
+// through encoding/json, so the semantics and the bytes are unchanged.
 type ValueDoc struct {
 	V value.Value
 }
@@ -57,56 +64,146 @@ type ValueDoc struct {
 // MarshalJSON renders the value as its JSON native, forcing a decimal
 // point (or exponent) onto integral floats so kind survives the trip.
 func (d ValueDoc) MarshalJSON() ([]byte, error) {
+	return d.appendJSON(nil)
+}
+
+// appendJSON appends the value's JSON form to buf. Strings come out
+// HTML-escaped, as json.Marshal writes them, whatever encoder the
+// result is nested in.
+func (d ValueDoc) appendJSON(buf []byte) ([]byte, error) {
 	switch d.V.Kind() {
 	case value.Int:
-		return []byte(strconv.FormatInt(d.V.Int(), 10)), nil
+		return strconv.AppendInt(buf, d.V.Int(), 10), nil
 	case value.Float:
-		s := strconv.FormatFloat(d.V.Float(), 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		start := len(buf)
+		buf = strconv.AppendFloat(buf, d.V.Float(), 'g', -1, 64)
+		if !bytes.ContainsAny(buf[start:], ".eE") {
+			buf = append(buf, ".0"...)
 		}
-		return []byte(s), nil
+		return buf, nil
 	case value.Bool:
-		return []byte(strconv.FormatBool(d.V.Bool())), nil
+		return strconv.AppendBool(buf, d.V.Bool()), nil
 	case value.String:
-		return json.Marshal(d.V.Str())
+		return appendJSONString(buf, d.V.Str(), true)
 	}
 	return nil, fmt.Errorf("service: unencodable value kind %v", d.V.Kind())
 }
 
 // UnmarshalJSON decodes a JSON scalar into a kinded value: numbers
-// without a fraction or exponent become ints, the rest floats.
+// without a fraction or exponent become ints, the rest floats. raw is
+// one literal encoding/json has already validated, so its first byte
+// names its kind.
 func (d *ValueDoc) UnmarshalJSON(raw []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return err
+	var c byte
+	if len(raw) > 0 {
+		c = raw[0]
 	}
-	switch x := v.(type) {
-	case bool:
-		d.V = value.OfBool(x)
-	case string:
-		d.V = value.OfString(x)
-	case json.Number:
-		s := x.String()
-		if !strings.ContainsAny(s, ".eE") {
+	switch {
+	case c == '"':
+		if n := len(raw); n >= 2 && raw[n-1] == '"' && plainJSON(raw[1:n-1]) {
+			d.V = value.OfString(string(raw[1 : n-1]))
+			return nil
+		}
+		// Escapes and non-ASCII text: encoding/json unescapes and
+		// replaces invalid UTF-8 exactly as it always has.
+		var s string
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return err
+		}
+		d.V = value.OfString(s)
+		return nil
+	case string(raw) == "true":
+		d.V = value.OfBool(true)
+		return nil
+	case string(raw) == "false":
+		d.V = value.OfBool(false)
+		return nil
+	case c == '-' || '0' <= c && c <= '9':
+		if !bytes.ContainsAny(raw, ".eE") {
 			// Literals beyond int64 fall back to float, matching what a
 			// plain JSON decode would have produced.
-			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			if i, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
 				d.V = value.OfInt(i)
 				return nil
 			}
 		}
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := strconv.ParseFloat(string(raw), 64)
 		if err != nil {
 			return err
 		}
 		d.V = value.OfFloat(f)
-	default:
-		return fmt.Errorf("service: parameter value must be a number, bool, or string, got %s", raw)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("service: parameter value must be a number, bool, or string, got %s", raw)
+}
+
+// plainJSON reports whether s is printable ASCII that JSON writes
+// verbatim between quotes under HTML escaping: no quote, backslash,
+// control byte, non-ASCII byte, or any of < > &.
+func plainJSON[T string | []byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONString appends s as a JSON string: plain text verbatim
+// between quotes, anything else through encoding/json with the given
+// HTML escaping.
+func appendJSONString(buf []byte, s string, escapeHTML bool) ([]byte, error) {
+	if plainJSON(s) {
+		buf = append(buf, '"')
+		buf = append(buf, s...)
+		return append(buf, '"'), nil
+	}
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(escapeHTML)
+	if err := enc.Encode(s); err != nil {
+		return nil, err
+	}
+	return append(buf, bytes.TrimSuffix(b.Bytes(), []byte("\n"))...), nil
+}
+
+// ConfigDoc is a configuration on the wire, kind-faithful per value.
+type ConfigDoc map[string]ValueDoc
+
+// MarshalJSON writes the configuration as one object with its keys
+// sorted byte-wise, the order encoding/json gives map keys, so the
+// bytes match the reflection path's. Keys are written without HTML
+// escaping: the enclosing encoder escapes < > & when it is set to, just
+// as it does for map keys, while values stay escaped as ValueDoc writes
+// them.
+func (c ConfigDoc) MarshalJSON() ([]byte, error) {
+	if c == nil {
+		return []byte("null"), nil
+	}
+	keys := make([]string, 0, len(c))
+	size := 2
+	for k := range c {
+		keys = append(keys, k)
+		size += len(k) + 24 // quotes, colon, comma and a short value
+	}
+	slices.Sort(keys)
+	buf := make([]byte, 0, size)
+	buf = append(buf, '{')
+	for i, k := range keys {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendJSONString(buf, k, false); err != nil {
+			return nil, err
+		}
+		buf = append(buf, ':')
+		if buf, err = c[k].appendJSON(buf); err != nil {
+			return nil, err
+		}
+	}
+	return append(buf, '}'), nil
 }
 
 // EncodeProblem lowers a definition to its wire form. It fails on

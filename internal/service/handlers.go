@@ -510,9 +510,6 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, doc)
 }
 
-// ConfigDoc is a configuration on the wire, kind-faithful per value.
-type ConfigDoc map[string]ValueDoc
-
 // toConfig lowers a wire configuration to the public Config map.
 func (c ConfigDoc) toConfig() searchspace.Config {
 	out := make(searchspace.Config, len(c))
