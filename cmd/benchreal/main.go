@@ -15,6 +15,7 @@ import (
 	"log"
 	"math"
 
+	"searchspace"
 	"searchspace/internal/harness"
 	"searchspace/internal/report"
 	"searchspace/internal/stats"
@@ -46,7 +47,7 @@ func main() {
 	}
 	var rows [][]string
 	for _, def := range defs {
-		per := map[harness.Method]harness.Timing{}
+		per := map[searchspace.Method]harness.Timing{}
 		var any harness.Timing
 		for _, t := range timings {
 			if t.Workload == def.Name {
@@ -112,7 +113,7 @@ func main() {
 
 	// Panel F: totals and speedups.
 	fmt.Println("\nF: total construction time over the eight spaces:")
-	refTotal := harness.Total(timings, harness.Optimized)
+	refTotal := harness.Total(timings, searchspace.Optimized)
 	var totRows [][]string
 	for _, m := range methods {
 		t := harness.Total(timings, m)

@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 
+	"searchspace"
 	"searchspace/internal/harness"
 	"searchspace/internal/model"
 	"searchspace/internal/report"
@@ -101,7 +102,7 @@ func figure3(defs []*model.Definition) {
 		log.Fatal(err)
 	}
 	fmt.Printf("Figure 3: search space construction on %d synthetic spaces\n\n", len(defs))
-	printMethodComparison(timings, methods, harness.Optimized)
+	printMethodComparison(timings, methods, searchspace.Optimized)
 }
 
 func figure4(defs []*model.Definition) {
@@ -117,13 +118,13 @@ func figure4(defs []*model.Definition) {
 		log.Fatal(err)
 	}
 	fmt.Printf("Figure 4: blocking-clause enumeration on %d reduced synthetic spaces\n\n", len(defs))
-	printMethodComparison(timings, methods, harness.Optimized)
+	printMethodComparison(timings, methods, searchspace.Optimized)
 }
 
 // printMethodComparison prints the per-method log-log fit (Figure A
 // panels), the KDE of times (B panels), and the totals bar chart (C/F
 // panels) shared by Figures 3, 4 and 5.
-func printMethodComparison(timings []harness.Timing, methods []harness.Method, ref harness.Method) {
+func printMethodComparison(timings []harness.Timing, methods []searchspace.Method, ref searchspace.Method) {
 	fmt.Println("log-log regression of construction time on valid configurations:")
 	var rows [][]string
 	for _, m := range methods {

@@ -13,8 +13,6 @@ import (
 	"math/rand"
 
 	"searchspace"
-	"searchspace/internal/core"
-	"searchspace/internal/space"
 	"searchspace/internal/tuner"
 	"searchspace/internal/workloads"
 )
@@ -51,21 +49,9 @@ func main() {
 	}
 
 	// Tune with simulated annealing against a simulated GEMM kernel.
-	prob, err := def.ToProblem()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sp, err := space.FromColumnar(def, prob.Compile(core.DefaultOptions()).SolveColumnar())
-	if err != nil {
-		log.Fatal(err)
-	}
-	kernel := tuner.NewSimKernel(def, 5, 2, 4096)
-	obj := tuner.Objective{
-		Score: func(r int) float64 { return kernel.Score(sp.Row(r)) },
-		Cost:  func(r int) float64 { return kernel.TimeMs(sp.Row(r)) / 1000 },
-	}
-	res := tuner.SimulatedAnnealing{}.Run(rng, sp, obj, tuner.Budget{MaxEvals: 800})
+	obj := tuner.NewSimKernel(def, 5, 2, 4096).Objective(ss)
+	res := tuner.SimulatedAnnealing{}.Run(rng, ss, obj, tuner.Budget{MaxEvals: 800})
 	fmt.Printf("simulated annealing: best %.1f GFLOP/s-proxy after %d evaluations\n",
 		res.BestScore, res.Evaluations)
-	fmt.Printf("best configuration: %v\n", sp.RowMap(res.BestRow))
+	fmt.Printf("best configuration: %v\n", ss.Get(res.BestRow))
 }

@@ -12,8 +12,6 @@ import (
 	"math/rand"
 
 	"searchspace"
-	"searchspace/internal/core"
-	"searchspace/internal/space"
 	"searchspace/internal/tuner"
 	"searchspace/internal/workloads"
 )
@@ -48,30 +46,17 @@ func main() {
 	fmt.Printf("configuration %v has %d Hamming neighbors and %d adjacent neighbors\n",
 		ss.Get(row), len(ss.HammingNeighbors(row)), len(ss.AdjacentNeighbors(row)))
 
-	// Tune against a simulated kernel: the internal space representation
-	// backs both the public API and the tuner.
-	prob, err := def.ToProblem()
-	if err != nil {
-		log.Fatal(err)
-	}
-	col := prob.Compile(core.DefaultOptions()).SolveColumnar()
-	sp, err := space.FromColumnar(def, col)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kernel := tuner.NewSimKernel(def, 1, 5, 1000)
-	obj := tuner.Objective{
-		Score: func(r int) float64 { return kernel.Score(sp.Row(r)) },
-		Cost:  func(r int) float64 { return kernel.TimeMs(sp.Row(r)) / 1000 },
-	}
+	// Tune against a simulated kernel: the public space satisfies the
+	// tuner's Space, and the kernel scores its rows' domain indices.
+	obj := tuner.NewSimKernel(def, 1, 5, 1000).Objective(ss)
 	budget := tuner.Budget{MaxEvals: 500}
 	for _, s := range []tuner.Strategy{
 		tuner.RandomSampling{},
 		tuner.GeneticAlgorithm{Crossover: true},
 		tuner.GreedyILS{},
 	} {
-		res := s.Run(rand.New(rand.NewSource(99)), sp, obj, budget)
+		res := s.Run(rand.New(rand.NewSource(99)), ss, obj, budget)
 		fmt.Printf("%-20s best score %.2f after %d evaluations (best config %v)\n",
-			s.Name(), res.BestScore, res.Evaluations, sp.RowMap(res.BestRow))
+			s.Name(), res.BestScore, res.Evaluations, ss.Get(res.BestRow))
 	}
 }

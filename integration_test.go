@@ -4,15 +4,26 @@ import (
 	"testing"
 
 	"searchspace/internal/bruteforce"
-	"searchspace/internal/harness"
 	"searchspace/internal/model"
 	"searchspace/internal/workloads"
 )
 
+// buildSize builds def with m on one worker through BuildWith and
+// returns the resolved size.
+func buildSize(t *testing.T, def *model.Definition, m Method) int {
+	t.Helper()
+	_, stats, err := FromDefinition(def).BuildWith(BuildOpts{Method: m, Workers: 1})
+	if err != nil {
+		t.Fatalf("%s/%s: %v", def.Name, m, err)
+	}
+	return stats.Valid
+}
+
 // TestAllMethodsAgreeOnWorkloads validates every construction method
 // against brute force on the real-world spaces that fit a CI budget,
 // mirroring §5's "results of each solver were validated against a
-// brute-force solution".
+// brute-force solution". Each workload and each (workload, method) pair
+// is a subtest, so -v shows where the time goes.
 func TestAllMethodsAgreeOnWorkloads(t *testing.T) {
 	defs := []*model.Definition{
 		workloads.Dedispersion(),
@@ -24,22 +35,41 @@ func TestAllMethodsAgreeOnWorkloads(t *testing.T) {
 		defs = append(defs, workloads.ExpDist(), workloads.PRL(4))
 	}
 	for _, def := range defs {
-		bf, err := bruteforce.Count(def)
-		if err != nil {
-			t.Fatalf("%s: %v", def.Name, err)
-		}
-		methods := []harness.Method{
-			harness.Optimized, harness.Original, harness.ChainCompiled, harness.ChainInterp,
-		}
-		for _, m := range methods {
-			col, err := harness.Construct(def, m)
+		t.Run(def.Name, func(t *testing.T) {
+			bf, err := bruteforce.Count(def)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", def.Name, m, err)
+				t.Fatalf("%s: %v", def.Name, err)
 			}
-			if col.NumSolutions() != bf.Valid {
-				t.Errorf("%s/%s: %d solutions, brute force found %d",
-					def.Name, m, col.NumSolutions(), bf.Valid)
+			for _, m := range []Method{Optimized, Original, ChainOfTrees, ChainOfTreesInterpreted} {
+				t.Run(m.String(), func(t *testing.T) {
+					if got := buildSize(t, def, m); got != bf.Valid {
+						t.Errorf("%s/%s: %d solutions, brute force found %d", def.Name, m, got, bf.Valid)
+					}
+				})
 			}
+		})
+	}
+}
+
+// TestIterativeSATAgreesOnPRL2x2 checks the blocking-clause method
+// against optimized on ATF PRL 2x2, row for row. Its cost is quadratic
+// in the number of solutions, so it runs on this small space only.
+func TestIterativeSATAgreesOnPRL2x2(t *testing.T) {
+	def := workloads.PRL(2)
+	want, _, err := FromDefinition(def).BuildWith(BuildOpts{Method: Optimized, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := FromDefinition(def).BuildWith(BuildOpts{Method: IterativeSAT, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != want.Size() {
+		t.Fatalf("iterative-sat: %d solutions, optimized found %d", got.Size(), want.Size())
+	}
+	for r := 0; r < got.Size(); r++ {
+		if !want.Contains(got.Get(r)) {
+			t.Fatalf("iterative-sat row %d %v is not in the optimized space", r, got.Get(r))
 		}
 	}
 }
@@ -54,18 +84,10 @@ func TestAllMethodsAgreeOnSyntheticSample(t *testing.T) {
 	}
 	for i := 0; i < len(suite); i += stride {
 		def := suite[i]
-		base, err := harness.Construct(def, harness.Optimized)
-		if err != nil {
-			t.Fatalf("%s: %v", def.Name, err)
-		}
-		for _, m := range []harness.Method{harness.BruteForce, harness.Original, harness.ChainCompiled} {
-			col, err := harness.Construct(def, m)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", def.Name, m, err)
-			}
-			if col.NumSolutions() != base.NumSolutions() {
-				t.Errorf("%s/%s: %d solutions, optimized found %d",
-					def.Name, m, col.NumSolutions(), base.NumSolutions())
+		base := buildSize(t, def, Optimized)
+		for _, m := range []Method{BruteForce, Original, ChainOfTrees} {
+			if got := buildSize(t, def, m); got != base {
+				t.Errorf("%s/%s: %d solutions, optimized found %d", def.Name, m, got, base)
 			}
 		}
 	}

@@ -86,11 +86,6 @@ var ErrCanceled = errors.New("chaintrees: construction canceled")
 // cancellation promptly.
 const stopMask = 1024 - 1
 
-// Build constructs the chain-of-trees for def sequentially.
-func Build(def *model.Definition, mode Mode) (*Chain, error) {
-	return BuildExec(def, mode, core.Exec{Workers: 1})
-}
-
 // BuildExec constructs the chain-of-trees under an execution config:
 // each (tree, root value) pair is an independent construction task
 // drawn from a shared queue by ex's workers, ex.Stop cancels the

@@ -62,7 +62,7 @@ func hotspotLike() *model.Definition {
 
 func TestGroupsReflectInterdependence(t *testing.T) {
 	def := hotspotLike()
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMatchesBruteForceBothModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{ModeCompiled, ModeInterpreted} {
-		chain, err := Build(def, mode)
+		chain, err := BuildExec(def, mode, core.Exec{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestIndependentParamsOnly(t *testing.T) {
 			model.IntsParam("b", 1, 2),
 		},
 	}
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestUnsatisfiableConstant(t *testing.T) {
 		Params:      []model.Param{model.IntsParam("a", 1, 2)},
 		Constraints: []string{"False"},
 	}
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEmptyGroupKillsChain(t *testing.T) {
 		},
 		Constraints: []string{"a * b > 100"},
 	}
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestGoConstraints(t *testing.T) {
 			},
 		}},
 	}
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestGoConstraints(t *testing.T) {
 
 func TestEarlyStopEnumeration(t *testing.T) {
 	def := hotspotLike()
-	chain, err := Build(def, ModeCompiled)
+	chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRandomCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain, err := Build(def, ModeCompiled)
+		chain, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestValidationError(t *testing.T) {
 		Params:      []model.Param{model.IntsParam("a", 1)},
 		Constraints: []string{"b > 1"},
 	}
-	if _, err := Build(def, ModeCompiled); err == nil {
+	if _, err := BuildExec(def, ModeCompiled, core.Exec{Workers: 1}); err == nil {
 		t.Fatal("unknown parameter should fail")
 	}
 }
@@ -261,7 +261,7 @@ func TestValidationError(t *testing.T) {
 func TestBuildExecParity(t *testing.T) {
 	def := hotspotLike()
 	for _, mode := range []Mode{ModeCompiled, ModeInterpreted} {
-		seq, err := Build(def, mode)
+		seq, err := BuildExec(def, mode, core.Exec{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestToColumnarMatchesForEach(t *testing.T) {
 	}
 	for _, def := range defs {
 		for _, mode := range []Mode{ModeCompiled, ModeInterpreted} {
-			chain, err := Build(def, mode)
+			chain, err := BuildExec(def, mode, core.Exec{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,7 @@ func assertKernelPaths(t *testing.T, c *Compiled, vars []varDef, cons []string, 
 		t.Fatalf("%s: uncancelled run reported canceled", label)
 	}
 	assertRowOrder(t, c.Order(), want, seq, label)
-	par, canceled := c.SolveColumnarExec(Exec{Workers: 3})
+	par, _, canceled := c.SolveColumnarExec(Exec{Workers: 3})
 	if canceled {
 		t.Fatalf("%s: uncancelled parallel run reported canceled", label)
 	}

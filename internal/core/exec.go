@@ -161,43 +161,51 @@ func (c *Compiled) splitPrefix(workers int) (k, tasks int) {
 }
 
 // SolveColumnarExec enumerates all solutions under the given execution
-// config. The output is byte-identical to SolveColumnar regardless of
-// worker count: the search tree is split along the first k solve-order
-// variables into prefix tasks, idle workers claim the next unclaimed
-// task from the shared queue (dynamic scheduling, so an imbalanced
-// split still uses every worker), and the tasks' rows are copied once,
-// in lexicographic prefix order — exactly the sequential enumeration
-// order — into one exactly sized backing. A space that splits into
-// independent components is one task to OnProgress: each component is
-// split and solved this way in turn, and their product is written once
-// (product.go). The canceled return reports a run abandoned by Stop; it
-// carries no rows.
+// config; it is the one columnar solve every build path calls. The
+// output is byte-identical at every worker count: the search tree is
+// split along the first k solve-order variables into prefix tasks, idle
+// workers claim the next unclaimed task from the shared queue (dynamic
+// scheduling, so an imbalanced split still uses every worker), and the
+// tasks' rows are copied once, in lexicographic prefix order — exactly
+// the sequential enumeration order — into one exactly sized backing. One
+// worker, or a space too small to split, runs as one task. A space that
+// splits into independent components is one task to OnProgress: each
+// component is split and solved this way in turn, and their product is
+// written once (product.go). The EnumStats are the kernel's counts for a
+// single-worker run (EffectiveWorkers 1) and zero otherwise. The
+// canceled return reports a run abandoned by Stop; it carries no rows.
 //
 // python-constraint 2 gained a ParallelSolver as part of the same
 // optimization effort this package reproduces; goroutines over a shared
 // task queue are the Go analogue, without the process-pool overhead
 // Python needs to sidestep the GIL.
-func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
+func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, EnumStats, bool) {
+	solvable := !c.empty && len(c.order) > 0
 	workers := ex.EffectiveWorkers()
-	if c.empty || len(c.order) == 0 {
-		return c.newColumnar(0), false
+	k, tasks := 0, 1
+	if solvable && c.product == nil && workers > 1 {
+		k, tasks = c.splitPrefix(workers)
 	}
-	k, tasks := c.splitPrefix(workers)
-	if c.product != nil || workers == 1 || tasks <= 1 {
+	if tasks <= 1 {
 		if ex.OnProgress != nil {
 			ex.OnProgress(0, 1)
 		}
-		var col *Columnar
-		var canceled bool
-		if c.product != nil {
-			col, _, canceled = c.solveProduct(ex)
-		} else {
-			col, _, canceled = c.solveWalk(ex.Stop, ex.Sink)
+		col, es, canceled := c.newColumnar(0), EnumStats{}, false
+		if solvable && c.product != nil {
+			col, es, canceled = c.solveProduct(ex)
+		} else if solvable {
+			col, es, canceled = c.solveWalk(ex.Stop, ex.Sink)
 		}
-		if !canceled && ex.OnProgress != nil {
+		if canceled {
+			return col, EnumStats{}, true
+		}
+		if ex.OnProgress != nil {
 			ex.OnProgress(1, 1)
 		}
-		return col, canceled
+		if workers != 1 {
+			es = EnumStats{}
+		}
+		return col, es, false
 	}
 	// radix[d] is the domain size at prefix depth d; depth 0 is the most
 	// significant digit, so ascending task index IS lexicographic prefix
@@ -248,7 +256,7 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 		return false
 	})
 	if canceled {
-		return c.newColumnar(0), true
+		return c.newColumnar(0), EnumStats{}, true
 	}
 	total := 0
 	for _, sp := range spans {
@@ -265,14 +273,5 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, bool) {
 			at += sp.end - sp.start
 		}
 	}
-	return out, false
-}
-
-// SolveColumnarParallel enumerates all solutions using up to workers
-// goroutines (0 selects GOMAXPROCS); it is SolveColumnarExec without
-// cancellation or progress, kept for callers that only want the worker
-// knob.
-func (c *Compiled) SolveColumnarParallel(workers int) *Columnar {
-	col, _ := c.SolveColumnarExec(Exec{Workers: workers})
-	return col
+	return out, EnumStats{}, false
 }

@@ -34,7 +34,7 @@ func TestExecSplitsPastUnitFirstDomain(t *testing.T) {
 
 	seq := compiled.SolveColumnar()
 	var tasks atomic.Int64
-	par, canceled := compiled.SolveColumnarExec(Exec{
+	par, _, canceled := compiled.SolveColumnarExec(Exec{
 		Workers: 8,
 		OnProgress: func(done, total int) {
 			tasks.Store(int64(total))
@@ -69,7 +69,7 @@ func TestExecParityAcrossWorkerCounts(t *testing.T) {
 	compiled := p.Compile(DefaultOptions())
 	seq := compiled.SolveColumnar()
 	for _, workers := range []int{2, 3, 7, 32} {
-		par, canceled := compiled.SolveColumnarExec(Exec{Workers: workers})
+		par, _, canceled := compiled.SolveColumnarExec(Exec{Workers: workers})
 		if canceled {
 			t.Fatalf("workers=%d: uncancelled run reported canceled", workers)
 		}
@@ -94,7 +94,7 @@ func TestExecProgressReachesTotal(t *testing.T) {
 	var calls, maxDone, total, firstDone atomic.Int64
 	firstDone.Store(-1)
 	var sink ProgressSink
-	col, canceled := compiled.SolveColumnarExec(Exec{
+	col, _, canceled := compiled.SolveColumnarExec(Exec{
 		Workers: 4,
 		Sink:    &sink,
 		OnProgress: func(done, tot int) {
@@ -144,7 +144,7 @@ func TestExecCancellation(t *testing.T) {
 	compiled := p.Compile(DefaultOptions())
 
 	var polls atomic.Int64
-	_, canceled := compiled.SolveColumnarExec(Exec{
+	_, _, canceled := compiled.SolveColumnarExec(Exec{
 		Workers: 4,
 		Stop:    func() bool { return polls.Add(1) > 3 },
 	})
@@ -153,7 +153,7 @@ func TestExecCancellation(t *testing.T) {
 	}
 
 	// An immediately-true stop cancels before any real work.
-	_, canceled = compiled.SolveColumnarExec(Exec{
+	_, _, canceled = compiled.SolveColumnarExec(Exec{
 		Workers: 4,
 		Stop:    func() bool { return true },
 	})
@@ -176,6 +176,41 @@ func assertSameColumnar(t *testing.T, want, got *Columnar) {
 				t.Fatalf("col %d row %d: got %d want %d (order must be identical)",
 					vi, r, got.Cols[vi][r], want.Cols[vi][r])
 			}
+		}
+	}
+}
+
+// TestExecStatsSingleWorkerOnly pins SolveColumnarExec's stats contract
+// on the walk and the component-product paths: a one-worker run reports
+// the kernel's counts, identical to SolveColumnarStatsSink's, and any
+// wider run reports zero with the same rows.
+func TestExecStatsSingleWorkerOnly(t *testing.T) {
+	vars := []varDef{
+		{"a", rangeInts(1, 15)},
+		{"b", rangeInts(1, 12)},
+		{"c", ints(1, 2, 4, 8)},
+		{"d", rangeInts(0, 6)},
+	}
+	for label, cons := range map[string][]string{
+		"walk":    {"a * b <= 60", "a % c == 0", "d < b"},
+		"product": {"a * b <= 60", "c + d <= 9"},
+	} {
+		c := buildProblem(t, vars, cons).Compile(DefaultOptions())
+		if (c.product != nil) != (label == "product") {
+			t.Fatalf("%s: test setup: product path taken = %v", label, c.product != nil)
+		}
+		seq, want, _ := c.SolveColumnarStatsSink(nil, nil)
+		one, es, canceled := c.SolveColumnarExec(Exec{Workers: 1})
+		if canceled || es != want || es.Nodes == 0 {
+			t.Fatalf("%s: one worker: stats %+v canceled %v, want %+v", label, es, canceled, want)
+		}
+		assertSameColumnar(t, seq, one)
+		for _, workers := range []int{2, 7} {
+			par, es, _ := c.SolveColumnarExec(Exec{Workers: workers})
+			if es != (EnumStats{}) {
+				t.Errorf("%s: %d workers: stats %+v, want zero", label, workers, es)
+			}
+			assertSameColumnar(t, seq, par)
 		}
 	}
 }

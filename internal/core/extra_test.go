@@ -162,7 +162,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	compiled := p.Compile(DefaultOptions())
 	seq := compiled.SolveColumnar()
 	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
-		par := compiled.SolveColumnarParallel(workers)
+		par := solveParallel(compiled, workers)
 		if par.NumSolutions() != seq.NumSolutions() {
 			t.Fatalf("workers=%d: %d solutions, want %d", workers, par.NumSolutions(), seq.NumSolutions())
 		}
@@ -179,7 +179,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelEdgeCases(t *testing.T) {
 	// Empty problem.
 	empty := NewProblem().Compile(DefaultOptions())
-	if got := empty.SolveColumnarParallel(4); got.NumSolutions() != 0 {
+	if got := solveParallel(empty, 4); got.NumSolutions() != 0 {
 		t.Error("empty problem should have no solutions")
 	}
 	// Single variable.
@@ -190,7 +190,7 @@ func TestParallelEdgeCases(t *testing.T) {
 	if err := p.AddConstraintString("a != 2"); err != nil {
 		t.Fatal(err)
 	}
-	got := p.Compile(DefaultOptions()).SolveColumnarParallel(4)
+	got := solveParallel(p.Compile(DefaultOptions()), 4)
 	if got.NumSolutions() != 2 {
 		t.Fatalf("single-var parallel: %d solutions, want 2", got.NumSolutions())
 	}
@@ -205,7 +205,7 @@ func TestParallelEdgeCases(t *testing.T) {
 	if err := p2.AddConstraintString("a + b > 100"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.Compile(DefaultOptions()).SolveColumnarParallel(2); got.NumSolutions() != 0 {
+	if got := solveParallel(p2.Compile(DefaultOptions()), 2); got.NumSolutions() != 0 {
 		t.Error("unsat parallel should be empty")
 	}
 }
@@ -230,7 +230,7 @@ func TestParallelRandomProblems(t *testing.T) {
 		p := buildProblem(t, vars, cons)
 		compiled := p.Compile(DefaultOptions())
 		seq := compiled.SolveColumnar()
-		par := compiled.SolveColumnarParallel(4)
+		par := solveParallel(compiled, 4)
 		if seq.NumSolutions() != par.NumSolutions() {
 			t.Fatalf("trial %d: parallel %d vs sequential %d", trial, par.NumSolutions(), seq.NumSolutions())
 		}
@@ -255,7 +255,7 @@ func BenchmarkSolveParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if compiled.SolveColumnarParallel(0).NumSolutions() == 0 {
+		if solveParallel(compiled, 0).NumSolutions() == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -277,4 +277,10 @@ func benchProblem(b *testing.B) *Problem {
 	mustAdd(p.AddConstraintString("a % c == 0"))
 	mustAdd(p.AddConstraintString("c + d <= 25"))
 	return p
+}
+
+// solveParallel is SolveColumnarExec with only a worker count.
+func solveParallel(c *Compiled, workers int) *Columnar {
+	col, _, _ := c.SolveColumnarExec(Exec{Workers: workers})
+	return col
 }

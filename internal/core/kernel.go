@@ -996,22 +996,12 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 	return false
 }
 
-// SolveColumnarStatsSink is the sequential columnar solve, the one entry
-// point every single-worker path goes through. It reports kernel
-// execution stats: constrained node visits, bulk blocks and block rows.
-// ps, when non-nil, sees node and row counts grow while the enumeration
-// runs. The rows land in one exactly sized backing array; a canceled run
-// returns no rows. A space whose constrained depths split into
-// independent components takes the product path (product.go); any
-// other space is walked as one tree (solveWalk).
+// SolveColumnarStatsSink is SolveColumnarExec on one worker with stop
+// and ps and no OnProgress: the rows, the kernel's execution stats
+// (constrained node visits, bulk blocks and block rows) and whether stop
+// canceled the run.
 func (c *Compiled) SolveColumnarStatsSink(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
-	if c.empty || len(c.order) == 0 {
-		return c.newColumnar(0), EnumStats{}, false
-	}
-	if c.product != nil {
-		return c.solveProduct(Exec{Workers: 1, Stop: stop, Sink: ps})
-	}
-	return c.solveWalk(stop, ps)
+	return c.SolveColumnarExec(Exec{Workers: 1, Stop: stop, Sink: ps})
 }
 
 // solveWalk is the sequential columnar solve as one planned walk: rows

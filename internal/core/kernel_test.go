@@ -251,14 +251,14 @@ func TestTailExpansionCancellation(t *testing.T) {
 	c := p.Compile(DefaultOptions())
 
 	polls := 0
-	_, canceled := c.SolveColumnarStop(func() bool { polls++; return polls > 2 })
+	_, _, canceled := c.SolveColumnarStatsSink(func() bool { polls++; return polls > 2 }, nil)
 	if !canceled {
 		t.Fatal("firing stop did not cancel the bulk enumeration")
 	}
 	// Pre-fired stop on a fully unconstrained space: the single-block
 	// path must also poll before emitting.
 	p2 := buildProblem(t, vars, nil)
-	_, canceled = p2.Compile(DefaultOptions()).SolveColumnarStop(func() bool { return true })
+	_, _, canceled = p2.Compile(DefaultOptions()).SolveColumnarStatsSink(func() bool { return true }, nil)
 	if !canceled {
 		t.Fatal("always-true stop did not cancel the single-block path")
 	}
@@ -278,7 +278,7 @@ func TestSinkReuseAcrossTasks(t *testing.T) {
 	c := p.Compile(DefaultOptions())
 	ref, _, _ := c.SolveColumnarRef(nil)
 	for _, workers := range []int{2, 5, 16} {
-		par, canceled := c.SolveColumnarExec(Exec{Workers: workers})
+		par, _, canceled := c.SolveColumnarExec(Exec{Workers: workers})
 		if canceled {
 			t.Fatalf("workers=%d: uncancelled run reported canceled", workers)
 		}
@@ -379,7 +379,7 @@ func TestSinkChunkBoundaries(t *testing.T) {
 // rows need.
 func TestOutputExactBacking(t *testing.T) {
 	c := hotspotProblem(t).Compile(DefaultOptions())
-	par, canceled := c.SolveColumnarExec(Exec{Workers: 7})
+	par, _, canceled := c.SolveColumnarExec(Exec{Workers: 7})
 	if canceled {
 		t.Fatal("uncancelled run reported canceled")
 	}

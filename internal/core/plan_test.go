@@ -249,7 +249,7 @@ func TestPlanMatchesBruteForceRandom(t *testing.T) {
 		}
 		want := bruteIndexRows(t, vars, cons, keep)
 		assertRowOrder(t, c.Order(), want, c.SolveColumnar(), label)
-		par, canceled := c.SolveColumnarExec(Exec{Workers: 7})
+		par, _, canceled := c.SolveColumnarExec(Exec{Workers: 7})
 		if canceled {
 			t.Fatalf("%s: uncancelled parallel run reported canceled", label)
 		}

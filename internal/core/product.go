@@ -224,7 +224,7 @@ func (c *Compiled) solveProduct(ex Exec) (*Columnar, EnumStats, bool) {
 			sols[k], wes, canceled = sub.solveWalk(ex.Stop, &walked)
 			es.Nodes += wes.Nodes
 		} else {
-			sols[k], canceled = sub.SolveColumnarExec(Exec{Workers: ex.Workers, Stop: ex.Stop, Sink: &walked})
+			sols[k], _, canceled = sub.SolveColumnarExec(Exec{Workers: ex.Workers, Stop: ex.Stop, Sink: &walked})
 		}
 		if ex.Sink != nil {
 			ex.Sink.Nodes.Add(walked.Nodes.Load())

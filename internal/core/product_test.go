@@ -160,7 +160,7 @@ func TestProductMatchesWalkAndBruteForce(t *testing.T) {
 			t.Fatalf("%s: stats %+v, sink %d nodes %d rows; product run %+v", label, ses, ps.Nodes.Load(), ps.Rows.Load(), es)
 		}
 		var pps ProgressSink
-		par, _ := c.SolveColumnarExec(Exec{Workers: 3, Sink: &pps})
+		par, _, _ := c.SolveColumnarExec(Exec{Workers: 3, Sink: &pps})
 		assertSameColumnar(t, walk, par)
 		if pps.Rows.Load() != int64(par.NumSolutions()) {
 			t.Fatalf("%s: 3-worker sink saw %d rows of %d", label, pps.Rows.Load(), par.NumSolutions())
@@ -225,7 +225,7 @@ func TestProductCancellation(t *testing.T) {
 			t.Fatalf("stop at poll %d of %d: canceled %v, %d rows", fire, polls, canceled, col.NumSolutions())
 		}
 	}
-	col, canceled := c.SolveColumnarExec(Exec{Workers: 2, Stop: func() bool { return true }})
+	col, _, canceled := c.SolveColumnarExec(Exec{Workers: 2, Stop: func() bool { return true }})
 	if !canceled || col.NumSolutions() != 0 {
 		t.Fatalf("pre-fired stop under Exec: canceled %v, %d rows", canceled, col.NumSolutions())
 	}

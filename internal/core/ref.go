@@ -362,7 +362,7 @@ func (c *Compiled) ForEachStopRef(stop func() bool, yield func(idx []int32) bool
 }
 
 // SolveColumnarRef enumerates all solutions with the reference loop into
-// per-row-appended columns — the pre-kernel SolveColumnarStop, including
+// per-row-appended columns — the pre-kernel sequential solve, including
 // its per-column growth pattern. Returns the node-visit count alongside
 // the output for before/after comparisons.
 func (c *Compiled) SolveColumnarRef(stop func() bool) (*Columnar, int64, bool) {

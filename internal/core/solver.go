@@ -118,20 +118,11 @@ func (s *Columnar) NumSolutions() int {
 	return len(s.Cols[0])
 }
 
-// SolveColumnar enumerates all solutions into columnar form.
+// SolveColumnar enumerates all solutions into columnar form on one
+// worker; see SolveColumnarExec.
 func (c *Compiled) SolveColumnar() *Columnar {
-	out, _ := c.SolveColumnarStop(nil)
+	out, _, _ := c.SolveColumnarExec(Exec{Workers: 1})
 	return out
-}
-
-// SolveColumnarStop is SolveColumnar with cooperative cancellation; see
-// ForEachStop. A canceled run returns no rows. This is the kernel's bulk
-// path: constrained depths follow the walk plan, unconstrained tail
-// depths are emitted as whole cartesian blocks; see
-// SolveColumnarStatsSink.
-func (c *Compiled) SolveColumnarStop(stop func() bool) (*Columnar, bool) {
-	out, _, canceled := c.SolveColumnarStatsSink(stop, nil)
-	return out, canceled
 }
 
 // SolveTuples enumerates all solutions as rows of values in variable

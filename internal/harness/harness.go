@@ -1,101 +1,48 @@
 // Package harness runs the paper's experiments: it times every
 // construction method on a workload, computes the characteristics tables,
 // and produces the per-figure series (regression slopes, KDEs, totals,
-// tuning traces) that the cmd/ binaries print and bench_test.go measures.
+// tuning traces) that the cmd/ binaries print and the root package's
+// benchmarks measure.
 //
-// The harness is deliberately independent of the public root package (it
-// drives the solver packages directly) so the reported times measure the
-// construction algorithms, not API conversion overhead.
+// Every build goes through the public entry point,
+// searchspace.(*Problem).BuildWith, on one worker (the paper's numbers
+// are single-core), and is labelled by searchspace.Method.String. A
+// measurement reports the build's BuildStats.Duration: the construction
+// backend alone (for the optimized method that is parsing, compiling and
+// the columnar solve), without validating the definition first or
+// materializing the resolved space after.
 package harness
 
 import (
 	"fmt"
 	"time"
 
-	"searchspace/internal/bruteforce"
-	"searchspace/internal/chaintrees"
+	"searchspace"
 	"searchspace/internal/core"
 	"searchspace/internal/expr"
-	"searchspace/internal/itersolve"
 	"searchspace/internal/model"
-	"searchspace/internal/naive"
 	"searchspace/internal/stats"
 )
 
-// Method enumerates the construction methods of the evaluation (§5.1).
-type Method int
-
-// Construction methods in the order the paper's bar charts list them.
-const (
-	BruteForce Method = iota
-	Original
-	ChainCompiled // ATF (C++) analogue
-	ChainInterp   // pyATF analogue
-	IterSAT       // PySMT/Z3 analogue
-	Optimized     // this work
-)
-
-var methodNames = map[Method]string{
-	BruteForce:    "brute-force",
-	Original:      "original",
-	ChainCompiled: "ATF (chain-of-trees)",
-	ChainInterp:   "pyATF (chain-of-trees)",
-	IterSAT:       "PySMT-style (blocking clauses)",
-	Optimized:     "optimized (this work)",
-}
-
-// String returns the method's report label.
-func (m Method) String() string { return methodNames[m] }
-
 // Fig3Methods are the methods compared on the synthetic and real-world
-// construction figures (Figures 3 and 5).
-func Fig3Methods() []Method {
-	return []Method{BruteForce, Original, ChainCompiled, ChainInterp, Optimized}
+// construction figures (Figures 3 and 5), in the order the paper's bar
+// charts list them.
+func Fig3Methods() []searchspace.Method {
+	return []searchspace.Method{
+		searchspace.BruteForce, searchspace.Original, searchspace.ChainOfTrees,
+		searchspace.ChainOfTreesInterpreted, searchspace.Optimized,
+	}
 }
 
 // Fig4Methods are the methods compared on the reduced spaces of Figure 4.
-func Fig4Methods() []Method {
-	return []Method{BruteForce, IterSAT, Optimized}
-}
-
-// Construct builds the search space of def with the selected method,
-// returning the columnar solutions.
-func Construct(def *model.Definition, m Method) (*core.Columnar, error) {
-	switch m {
-	case Optimized:
-		p, err := def.ToProblem()
-		if err != nil {
-			return nil, err
-		}
-		return p.Compile(core.DefaultOptions()).SolveColumnar(), nil
-	case Original:
-		return naive.Solve(def)
-	case BruteForce:
-		col, _, err := bruteforce.Solve(def)
-		return col, err
-	case ChainCompiled:
-		chain, err := chaintrees.Build(def, chaintrees.ModeCompiled)
-		if err != nil {
-			return nil, err
-		}
-		return chain.ToColumnar(), nil
-	case ChainInterp:
-		chain, err := chaintrees.Build(def, chaintrees.ModeInterpreted)
-		if err != nil {
-			return nil, err
-		}
-		return chain.ToColumnar(), nil
-	case IterSAT:
-		col, _, err := itersolve.Solve(def)
-		return col, err
-	}
-	return nil, fmt.Errorf("harness: unknown method %d", int(m))
+func Fig4Methods() []searchspace.Method {
+	return []searchspace.Method{searchspace.BruteForce, searchspace.IterativeSAT, searchspace.Optimized}
 }
 
 // Timing is one (workload, method) measurement.
 type Timing struct {
 	Workload  string
-	Method    Method
+	Method    searchspace.Method
 	Seconds   float64
 	Valid     int
 	Cartesian float64
@@ -117,19 +64,17 @@ func (t Timing) Sparsity() float64 {
 	return 1 - float64(t.Valid)/t.Cartesian
 }
 
-// Measure times one construction.
-func Measure(def *model.Definition, m Method) (Timing, error) {
-	start := time.Now()
-	col, err := Construct(def, m)
-	elapsed := time.Since(start)
+// Measure times one single-worker construction through BuildWith.
+func Measure(def *model.Definition, m searchspace.Method) (Timing, error) {
+	_, st, err := searchspace.FromDefinition(def).BuildWith(searchspace.BuildOpts{Method: m, Workers: 1})
 	if err != nil {
 		return Timing{}, fmt.Errorf("%s/%s: %w", def.Name, m, err)
 	}
 	return Timing{
 		Workload:  def.Name,
 		Method:    m,
-		Seconds:   elapsed.Seconds(),
-		Valid:     col.NumSolutions(),
+		Seconds:   st.Duration.Seconds(),
+		Valid:     st.Valid,
 		Cartesian: def.CartesianSize(),
 		NumParams: def.NumParams(),
 	}, nil
@@ -158,26 +103,26 @@ func DefaultOptions() Options {
 // suppressed by the caps are returned with Skipped/Estimated set, using
 // calibrated extrapolations so totals remain comparable in shape to the
 // paper's.
-func RunSuite(defs []*model.Definition, methods []Method, opt Options) ([]Timing, error) {
+func RunSuite(defs []*model.Definition, methods []searchspace.Method, opt Options) ([]Timing, error) {
 	var out []Timing
 	for _, def := range defs {
 		// Optimized runs first: its result supplies the valid count used
 		// both for capping and for per-space reporting.
-		optTiming, err := Measure(def, Optimized)
+		optTiming, err := Measure(def, searchspace.Optimized)
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range methods {
 			switch {
-			case m == Optimized:
+			case m == searchspace.Optimized:
 				out = append(out, optTiming)
-			case m == BruteForce && opt.BruteCap > 0 && def.CartesianSize() > opt.BruteCap:
+			case m == searchspace.BruteForce && opt.BruteCap > 0 && def.CartesianSize() > opt.BruteCap:
 				est, err := extrapolateBrute(def, optTiming)
 				if err != nil {
 					return nil, err
 				}
 				out = append(out, est)
-			case m == IterSAT && opt.IterCap > 0 && optTiming.Valid > opt.IterCap:
+			case m == searchspace.IterativeSAT && opt.IterCap > 0 && optTiming.Valid > opt.IterCap:
 				est := extrapolateIter(def, optTiming)
 				out = append(out, est)
 			default:
@@ -232,7 +177,7 @@ func extrapolateBrute(def *model.Definition, opt Timing) (Timing, error) {
 	perCand := time.Since(start).Seconds() / float64(sample)
 	return Timing{
 		Workload:  def.Name,
-		Method:    BruteForce,
+		Method:    searchspace.BruteForce,
 		Seconds:   perCand * def.CartesianSize(),
 		Valid:     opt.Valid,
 		Cartesian: def.CartesianSize(),
@@ -248,7 +193,7 @@ func extrapolateIter(def *model.Definition, opt Timing) Timing {
 	const probe = 2000
 	p, err := def.ToProblem()
 	if err != nil {
-		return Timing{Workload: def.Name, Method: IterSAT, Skipped: true, Estimated: true}
+		return Timing{Workload: def.Name, Method: searchspace.IterativeSAT, Skipped: true, Estimated: true}
 	}
 	compiled := p.Compile(core.DefaultOptions())
 	blocked := make(map[string]struct{}, probe)
@@ -274,7 +219,7 @@ func extrapolateIter(def *model.Definition, opt Timing) Timing {
 	ratio := float64(opt.Valid) / float64(probe)
 	return Timing{
 		Workload:  def.Name,
-		Method:    IterSAT,
+		Method:    searchspace.IterativeSAT,
 		Seconds:   probeSec * ratio * ratio,
 		Valid:     opt.Valid,
 		Cartesian: def.CartesianSize(),
@@ -296,7 +241,7 @@ func packKey(buf []byte, idx []int32) string {
 
 // MethodSeries extracts one method's (valid count, seconds) series from a
 // suite result.
-func MethodSeries(timings []Timing, m Method) (xs, ys []float64) {
+func MethodSeries(timings []Timing, m searchspace.Method) (xs, ys []float64) {
 	for _, t := range timings {
 		if t.Method == m {
 			xs = append(xs, float64(t.Valid))
@@ -308,13 +253,13 @@ func MethodSeries(timings []Timing, m Method) (xs, ys []float64) {
 
 // FitMethod regresses log-log time on valid-configuration count for one
 // method (the slopes of Figures 3A, 4 and 5A).
-func FitMethod(timings []Timing, m Method) (stats.LogLogFit, error) {
+func FitMethod(timings []Timing, m searchspace.Method) (stats.LogLogFit, error) {
 	xs, ys := MethodSeries(timings, m)
 	return stats.FitLogLog(xs, ys)
 }
 
 // Total sums one method's time over a suite (Figures 3C and 5F).
-func Total(timings []Timing, m Method) float64 {
+func Total(timings []Timing, m searchspace.Method) float64 {
 	sum := 0.0
 	for _, t := range timings {
 		if t.Method == m {

@@ -4,47 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"searchspace"
 	"searchspace/internal/model"
 	"searchspace/internal/workloads"
 )
 
-func TestConstructAllMethodsAgree(t *testing.T) {
-	def := workloads.Dedispersion()
-	base, err := Construct(def, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Method{BruteForce, Original, ChainCompiled, ChainInterp} {
-		col, err := Construct(def, m)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if col.NumSolutions() != base.NumSolutions() {
-			t.Errorf("%s: %d solutions, want %d", m, col.NumSolutions(), base.NumSolutions())
-		}
-	}
-	// IterSAT agreement on a smaller space (its cost is quadratic in the
-	// number of solutions).
-	small := workloads.PRL(2)
-	smallBase, err := Construct(small, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Construct(small, IterSAT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.NumSolutions() != smallBase.NumSolutions() {
-		t.Errorf("IterSAT: %d solutions, want %d", col.NumSolutions(), smallBase.NumSolutions())
-	}
-	if _, err := Construct(def, Method(99)); err == nil {
-		t.Error("unknown method should error")
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	def := workloads.PRL(2)
-	tm, err := Measure(def, Optimized)
+	tm, err := Measure(def, searchspace.Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +26,7 @@ func TestMeasure(t *testing.T) {
 func TestRunSuiteCapsApply(t *testing.T) {
 	defs := []*model.Definition{workloads.Dedispersion(), workloads.GEMM()}
 	opt := Options{BruteCap: 1e5, IterCap: 5000}
-	timings, err := RunSuite(defs, []Method{BruteForce, IterSAT, Optimized}, opt)
+	timings, err := RunSuite(defs, []searchspace.Method{searchspace.BruteForce, searchspace.IterativeSAT, searchspace.Optimized}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +46,7 @@ func TestRunSuiteCapsApply(t *testing.T) {
 		t.Error("GEMM brute force should be extrapolated under the cap")
 	}
 	// Dedispersion has 10800 valid > 5000 → IterSAT estimated.
-	if !byKey["Dedispersion/PySMT-style (blocking clauses)"].Estimated {
+	if !byKey["Dedispersion/iterative-sat"].Estimated {
 		t.Error("Dedispersion IterSAT should be extrapolated")
 	}
 	for k, tm := range byKey {
@@ -91,18 +58,18 @@ func TestRunSuiteCapsApply(t *testing.T) {
 
 func TestMethodSeriesAndTotals(t *testing.T) {
 	timings := []Timing{
-		{Method: Optimized, Valid: 10, Seconds: 0.1},
-		{Method: Optimized, Valid: 100, Seconds: 0.5},
-		{Method: BruteForce, Valid: 10, Seconds: 2},
+		{Method: searchspace.Optimized, Valid: 10, Seconds: 0.1},
+		{Method: searchspace.Optimized, Valid: 100, Seconds: 0.5},
+		{Method: searchspace.BruteForce, Valid: 10, Seconds: 2},
 	}
-	xs, ys := MethodSeries(timings, Optimized)
+	xs, ys := MethodSeries(timings, searchspace.Optimized)
 	if len(xs) != 2 || xs[1] != 100 || ys[0] != 0.1 {
 		t.Errorf("series = %v, %v", xs, ys)
 	}
-	if got := Total(timings, Optimized); math.Abs(got-0.6) > 1e-12 {
+	if got := Total(timings, searchspace.Optimized); math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("total = %v", got)
 	}
-	if got := Total(timings, BruteForce); got != 2 {
+	if got := Total(timings, searchspace.BruteForce); got != 2 {
 		t.Errorf("brute total = %v", got)
 	}
 }
@@ -187,11 +154,11 @@ func indexOf(s, sub string) int {
 
 func TestFitMethodOnSynthetic(t *testing.T) {
 	defs := workloads.SyntheticSuite()[:12]
-	timings, err := RunSuite(defs, []Method{Optimized}, DefaultOptions())
+	timings, err := RunSuite(defs, []searchspace.Method{searchspace.Optimized}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := FitMethod(timings, Optimized)
+	fit, err := FitMethod(timings, searchspace.Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +175,7 @@ func TestRunTuningShape(t *testing.T) {
 		Seed:          3,
 		KernelBaseMs:  2,
 		KernelWork:    1000,
-		Methods:       []Method{Optimized, Original},
+		Methods:       []searchspace.Method{searchspace.Optimized, searchspace.Original},
 	}
 	curves, err := RunTuning(def, opt)
 	if err != nil {

@@ -3,10 +3,9 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
+	"searchspace"
 	"searchspace/internal/model"
-	"searchspace/internal/space"
 	"searchspace/internal/tuner"
 )
 
@@ -28,7 +27,7 @@ type TuningOptions struct {
 	KernelWork   float64
 	// Methods to compare (default: brute force, original, optimized — the
 	// three Python-based solvers of Figure 6).
-	Methods []Method
+	Methods []searchspace.Method
 }
 
 // DefaultTuningOptions mirrors Figure 6 at laptop scale.
@@ -39,13 +38,13 @@ func DefaultTuningOptions() TuningOptions {
 		Seed:          1,
 		KernelBaseMs:  5,
 		KernelWork:    1000,
-		Methods:       []Method{BruteForce, Original, Optimized},
+		Methods:       []searchspace.Method{searchspace.BruteForce, searchspace.Original, searchspace.Optimized},
 	}
 }
 
 // TuningCurve is one method's averaged best-so-far trajectory.
 type TuningCurve struct {
-	Method Method
+	Method searchspace.Method
 	// ConstructSeconds is the measured construction time (averaged).
 	ConstructSeconds float64
 	// Times are the sample instants; Best the mean best score found by
@@ -76,20 +75,12 @@ func RunTuning(def *model.Definition, opt TuningOptions) ([]TuningCurve, error) 
 	for _, m := range opt.Methods {
 		// Construction happens once per method (a tuning script builds
 		// the space once); repeats rerun only the sampling.
-		start := time.Now()
-		col, err := Construct(def, m)
+		ss, st, err := searchspace.FromDefinition(def).BuildWith(searchspace.BuildOpts{Method: m, Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("tuning %s: %w", m, err)
 		}
-		construct := time.Since(start).Seconds()
-		sp, err := space.FromColumnar(def, col)
-		if err != nil {
-			return nil, err
-		}
-		obj := tuner.Objective{
-			Score: func(row int) float64 { return kernel.Score(sp.Row(row)) },
-			Cost:  func(row int) float64 { return kernel.TimeMs(sp.Row(row)) / 1000 },
-		}
+		construct := st.Duration.Seconds()
+		obj := kernel.Objective(ss)
 
 		curve := TuningCurve{Method: m, ConstructSeconds: construct}
 		curve.Times = make([]float64, samples+1)
@@ -99,7 +90,7 @@ func RunTuning(def *model.Definition, opt TuningOptions) ([]TuningCurve, error) 
 		}
 		for rep := 0; rep < opt.Repeats; rep++ {
 			rng := rand.New(rand.NewSource(opt.Seed + int64(rep)*7919))
-			res := tuner.RandomSampling{}.Run(rng, sp, obj, tuner.Budget{
+			res := tuner.RandomSampling{}.Run(rng, ss, obj, tuner.Budget{
 				MaxTime:   opt.BudgetSeconds,
 				StartTime: construct,
 			})

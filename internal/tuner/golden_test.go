@@ -90,7 +90,7 @@ func TestGoldenTraces(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 11, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 
 	if *update {
 		var gf goldenFile

@@ -18,6 +18,9 @@ import (
 type SimKernel struct {
 	name   string
 	nParam int
+	// values[p] is parameter p's declared domain, which a row's domain
+	// indices select from; see Objective.
+	values [][]value.Value
 	baseMs float64
 	work   float64 // abstract work units; Score = work / TimeMs
 	// rawBounds[p] holds the feature-space extremes of parameter p's
@@ -47,6 +50,7 @@ func NewSimKernel(def *model.Definition, seed int64, baseMs, work float64) *SimK
 	}
 	h := seed*0x9E3779B9 + 0x85EBCA6B
 	for pi, p := range def.Params {
+		k.values = append(k.values, p.Values)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range p.Values {
 			f := featureOf(v)
@@ -68,6 +72,25 @@ func NewSimKernel(def *model.Definition, seed int64, baseMs, work float64) *SimK
 		k.pairW = append(k.pairW, 0.1*frac01(splitmix(h2))*scale)
 	}
 	return k
+}
+
+// Objective scores the rows of a space resolved from the kernel's
+// definition: row r's domain indices (sp.Indices) select its values
+// from the declared domains, Score is the kernel's Score and Cost its
+// simulated time in seconds.
+func (k *SimKernel) Objective(sp interface{ Indices(r int) []int32 }) Objective {
+	row := func(r int) []value.Value {
+		idx := sp.Indices(r)
+		cfg := make([]value.Value, len(idx))
+		for p, di := range idx {
+			cfg[p] = k.values[p][di]
+		}
+		return cfg
+	}
+	return Objective{
+		Score: func(r int) float64 { return k.Score(row(r)) },
+		Cost:  func(r int) float64 { return k.TimeMs(row(r)) / 1000 },
+	}
 }
 
 // Name returns the kernel's label.

@@ -23,7 +23,7 @@ func TestStepperBatchEquivalence(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 11, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 
 	for _, s := range allStrategies() {
 		ref := s.Run(rand.New(rand.NewSource(7)), sp, obj, Budget{MaxEvals: 150})
@@ -53,7 +53,7 @@ func TestStepperAskNeverRepeatsMeasuredRows(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 3, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 
 	for _, s := range allStrategies() {
 		st := s.Stepper(rand.New(rand.NewSource(5)), sp, Budget{MaxEvals: 200})
@@ -111,7 +111,7 @@ func TestStepperTellErrors(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 3, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 
 	st := RandomSampling{}.Stepper(rand.New(rand.NewSource(2)), sp, Budget{MaxEvals: 10})
 	if err := st.Tell([]Measurement{{Row: 0, Score: 1, Cost: 1}}); err == nil {
@@ -171,7 +171,7 @@ func TestReplayReconstructsState(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 11, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	budget := Budget{MaxEvals: 120}
 
 	for _, s := range allStrategies() {
@@ -238,7 +238,7 @@ func TestGeneticAlgorithmDegeneratePopulation(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 3, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	done := make(chan Result, 1)
 	go func() {
 		done <- GeneticAlgorithm{PopSize: 1}.Run(rand.New(rand.NewSource(1)), sp, obj, Budget{MaxEvals: 50})

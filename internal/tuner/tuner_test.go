@@ -38,14 +38,6 @@ func tuningDef() *model.Definition {
 	}
 }
 
-// objective builds the Objective from a SimKernel over sp.
-func objective(def *model.Definition, sp *space.Space, k *SimKernel) Objective {
-	return Objective{
-		Score: func(row int) float64 { return k.Score(sp.Row(row)) },
-		Cost:  func(row int) float64 { return k.TimeMs(sp.Row(row)) / 1000 },
-	}
-}
-
 func bruteBest(sp *space.Space, k *SimKernel) float64 {
 	best := math.Inf(-1)
 	for r := 0; r < sp.Size(); r++ {
@@ -111,7 +103,7 @@ func TestRandomSamplingRespectsBudget(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 1, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	rng := rand.New(rand.NewSource(1))
 
 	res := RandomSampling{}.Run(rng, sp, obj, Budget{MaxEvals: 50})
@@ -135,7 +127,7 @@ func TestTraceMonotone(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 2, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	rng := rand.New(rand.NewSource(2))
 	res := RandomSampling{}.Run(rng, sp, obj, Budget{MaxEvals: 200, StartTime: 3})
 	if len(res.Trace) == 0 {
@@ -157,7 +149,7 @@ func TestStrategiesFindGoodConfigs(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 11, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	best := bruteBest(sp, k)
 
 	strategies := []Strategy{
@@ -186,7 +178,7 @@ func TestLocalSearchBeatsRandomPerEvaluation(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 5, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 
 	trials := 10
 	greedyWins := 0
@@ -239,7 +231,7 @@ func TestZeroBudget(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 3, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	rng := rand.New(rand.NewSource(4))
 	// StartTime beyond MaxTime: construction ate the whole budget, as
 	// happens to the slow construction methods in Figures 6 and 7.
@@ -256,7 +248,7 @@ func TestSimulatedAnnealingCoolingParams(t *testing.T) {
 	def := tuningDef()
 	sp := buildSpace(t, def)
 	k := NewSimKernel(def, 8, 5, 1000)
-	obj := objective(def, sp, k)
+	obj := k.Objective(sp)
 	rng := rand.New(rand.NewSource(5))
 	res := SimulatedAnnealing{T0: 50, Alpha: 0.9}.Run(rng, sp, obj, Budget{MaxEvals: 150})
 	if res.Evaluations == 0 {

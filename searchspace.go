@@ -357,25 +357,11 @@ func construct(def *model.Definition, m Method, ex core.Exec) (*core.Columnar, i
 		if err != nil {
 			return nil, 1, none, err
 		}
-		compiled := prob.Compile(core.DefaultOptions())
-		if ex.EffectiveWorkers() == 1 {
-			if ex.OnProgress != nil {
-				ex.OnProgress(0, 1)
-			}
-			col, es, canceled := compiled.SolveColumnarStatsSink(ex.Stop, ex.Sink)
-			if canceled {
-				return nil, 1, none, ErrCanceled
-			}
-			if ex.OnProgress != nil {
-				ex.OnProgress(1, 1)
-			}
-			return col, 1, es, nil
-		}
-		col, canceled := compiled.SolveColumnarExec(ex)
+		col, es, canceled := prob.Compile(core.DefaultOptions()).SolveColumnarExec(ex)
 		if canceled {
 			return nil, ex.EffectiveWorkers(), none, ErrCanceled
 		}
-		return col, ex.EffectiveWorkers(), none, nil
+		return col, ex.EffectiveWorkers(), es, nil
 	case Original:
 		col, err := naive.Solve(def)
 		return col, 1, none, err
