@@ -1,6 +1,8 @@
 package searchspace
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"searchspace/internal/bruteforce"
@@ -19,11 +21,54 @@ func buildSize(t *testing.T, def *model.Definition, m Method) int {
 	return stats.Valid
 }
 
+// bruteValid counts def's valid configurations by brute force. It splits
+// def into one sub-definition per value of its first parameter and counts
+// them on GOMAXPROCS goroutines; the sub-definitions partition the
+// cartesian product, so their counts sum to def's.
+func bruteValid(t *testing.T, def *model.Definition) int {
+	t.Helper()
+	vals := def.Params[0].Values
+	counts := make([]int, len(vals))
+	errs := make([]error, len(vals))
+	next := make(chan int, len(vals))
+	for i := range vals {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(vals)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				sub := def.Clone()
+				sub.Params[0].Values = vals[i : i+1]
+				bf, err := bruteforce.Count(sub)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				counts[i] = bf.Valid
+			}
+		}()
+	}
+	wg.Wait()
+	valid := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %s = %v: %v", def.Name, def.Params[0].Name, vals[i], err)
+		}
+		valid += counts[i]
+	}
+	return valid
+}
+
 // TestAllMethodsAgreeOnWorkloads validates every construction method
 // against brute force on the real-world spaces that fit a CI budget,
 // mirroring §5's "results of each solver were validated against a
 // brute-force solution". Each workload and each (workload, method) pair
-// is a subtest, so -v shows where the time goes.
+// is a subtest, so -v shows where the time goes. The brute-force count,
+// the bulk of the cost, is split over GOMAXPROCS goroutines (bruteValid).
 func TestAllMethodsAgreeOnWorkloads(t *testing.T) {
 	defs := []*model.Definition{
 		workloads.Dedispersion(),
@@ -36,14 +81,11 @@ func TestAllMethodsAgreeOnWorkloads(t *testing.T) {
 	}
 	for _, def := range defs {
 		t.Run(def.Name, func(t *testing.T) {
-			bf, err := bruteforce.Count(def)
-			if err != nil {
-				t.Fatalf("%s: %v", def.Name, err)
-			}
+			valid := bruteValid(t, def)
 			for _, m := range []Method{Optimized, Original, ChainOfTrees, ChainOfTreesInterpreted} {
 				t.Run(m.String(), func(t *testing.T) {
-					if got := buildSize(t, def, m); got != bf.Valid {
-						t.Errorf("%s/%s: %d solutions, brute force found %d", def.Name, m, got, bf.Valid)
+					if got := buildSize(t, def, m); got != valid {
+						t.Errorf("%s/%s: %d solutions, brute force found %d", def.Name, m, got, valid)
 					}
 				})
 			}

@@ -23,7 +23,8 @@ type entry struct {
 // views indexed by problem variable index, the reusable output row, the
 // walk's trial stack, and a scratch buffer for Go-func constraints. pos
 // and surv, indexed by depth, hold the columnar walk's assigned domain
-// positions and the candidate lists it iterates (see depthPlan).
+// positions and the candidate lists it iterates (see depthPlan); runs
+// holds the sink row at which each depth's current run of rows began.
 // products, deep and declined tally the depth entries emitted as one
 // product block, those of them that spanned more than one constrained
 // depth, and the entries walked per node because a product block would
@@ -36,6 +37,7 @@ type state struct {
 	trial                    []int
 	pos                      []int
 	surv                     [][]int32
+	runs                     []int
 	scratch                  []value.Value
 	products, deep, declined int
 }
@@ -54,6 +56,7 @@ func (c *Compiled) newState() *state {
 		trial:   make([]int, n),
 		pos:     make([]int, n),
 		surv:    make([][]int32, n),
+		runs:    make([]int, n),
 		scratch: make([]value.Value, c.maxArgs),
 	}
 }

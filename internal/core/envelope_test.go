@@ -12,8 +12,10 @@ import (
 
 // assertKernelPaths requires every enumeration path of c to return
 // exactly the brute-force rows of vars under cons, in solve order:
-// the sequential planned walk (SolveColumnarStatsSink), a 3-worker
-// SolveColumnarExec, and ForEachStop on the plain walk.
+// the sequential planned walk (SolveColumnarStatsSink), SolveColumnarExec
+// on 3 and 7 workers, and ForEachStop on the plain walk. A run whose stop
+// fires at its first poll must report canceled with no rows, and a
+// sequential solve after it must still match.
 func assertKernelPaths(t *testing.T, c *Compiled, vars []varDef, cons []string, label string) {
 	t.Helper()
 	want := bruteIndexRows(t, vars, cons, nil)
@@ -22,11 +24,22 @@ func assertKernelPaths(t *testing.T, c *Compiled, vars []varDef, cons []string, 
 		t.Fatalf("%s: uncancelled run reported canceled", label)
 	}
 	assertRowOrder(t, c.Order(), want, seq, label)
-	par, _, canceled := c.SolveColumnarExec(Exec{Workers: 3})
-	if canceled {
-		t.Fatalf("%s: uncancelled parallel run reported canceled", label)
+	for _, workers := range []int{3, 7} {
+		par, _, canceled := c.SolveColumnarExec(Exec{Workers: workers})
+		if canceled {
+			t.Fatalf("%s: uncancelled %d-worker run reported canceled", label, workers)
+		}
+		assertRowOrder(t, c.Order(), want, par, fmt.Sprintf("%s (%d workers)", label, workers))
 	}
-	assertRowOrder(t, c.Order(), want, par, label+" (3 workers)")
+	stopped, _, canceled := c.SolveColumnarStatsSink(func() bool { return true }, nil)
+	if canceled == c.empty || stopped.NumSolutions() != 0 {
+		t.Fatalf("%s: stop at the first poll: canceled %v with %d rows", label, canceled, stopped.NumSolutions())
+	}
+	again, _, canceled := c.SolveColumnarStatsSink(nil, nil)
+	if canceled {
+		t.Fatalf("%s: run after a canceled one reported canceled", label)
+	}
+	assertRowOrder(t, c.Order(), want, again, label+" (after a canceled run)")
 	each := &Columnar{Cols: make([][]int32, len(vars))}
 	c.ForEachStop(nil, func(idx []int32) bool {
 		for vi, di := range idx {
@@ -73,7 +86,7 @@ func walkTallies(c *Compiled) (products, deep, declined int) {
 		return 0, 0, 0
 	}
 	st := c.newState()
-	snk := newSink(len(c.order))
+	snk := newSink(c.tailStart)
 	defer snk.reset()
 	c.enumColumnar(snk, nil, st, nil, nil, nil)
 	return st.products, st.deep, st.declined
@@ -223,8 +236,11 @@ func (fb *fuzzBytes) arith(nvars, depth int) string {
 // fast path is exact wherever it is chosen.
 //
 // The seed corpus is under testdata/fuzz/FuzzKernelPlan: a budget over
-// ascending domains, mixed signs with a chain pulling two ways, and a
-// remainder by a divisor that can be zero.
+// ascending domains, mixed signs with a chain pulling two ways, a
+// remainder by a divisor that can be zero, a tail of two many-valued
+// unconstrained columns (tail), and a unary constraint that leaves one
+// value at declared index 2 in the tail (unary), which the output's
+// zeroed memory does not already hold.
 func FuzzKernelPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fb := &fuzzBytes{data: data}

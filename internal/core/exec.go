@@ -236,7 +236,7 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, EnumStats, bool) {
 		}
 	}()
 	canceled := ex.ForEachTask(tasks, func() any {
-		snk := newSink(len(c.names))
+		snk := newSink(c.tailStart)
 		mu.Lock()
 		sinks = append(sinks, snk)
 		mu.Unlock()
@@ -264,14 +264,17 @@ func (c *Compiled) SolveColumnarExec(ex Exec) (*Columnar, EnumStats, bool) {
 	}
 	// One copy into one exact backing, ranges in ascending task order —
 	// lexicographic prefix order, i.e. exactly the sequential
-	// enumeration order.
+	// enumeration order — then the tail's columns, which are periodic
+	// over the whole output whatever the split.
 	out := c.newColumnar(total)
+	cols := c.sinkCols(out)
 	at := 0
 	for _, sp := range spans {
 		if sp.end > sp.start {
-			sp.snk.copyRows(out.Cols, at, sp.start, sp.end)
+			sp.snk.copyRows(cols, at, sp.start, sp.end)
 			at += sp.end - sp.start
 		}
 	}
+	c.fillTail(out)
 	return out, EnumStats{}, false
 }

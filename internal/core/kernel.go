@@ -23,9 +23,8 @@ import (
 // The second half implements bulk tail expansion: once the walk passes
 // the deepest depth that carries any instruction, the remaining
 // variables are unconstrained, so the kernel emits the full cartesian
-// block of their domains straight into columnar storage as
-// repeated/tiled index runs instead of visiting every node; a one-row
-// block writes one cell per column. The constrained depths above the
+// block of their domains as one block of rows instead of visiting every
+// node; a one-row block writes one cell per column it writes. The constrained depths above the
 // tail follow the walk plan (plan.go): survivor tables, monotone and
 // envelope cut-offs skip only values whose subtrees hold no valid row.
 // Where the trailing constrained depths have no per-candidate check left
@@ -37,16 +36,23 @@ import (
 // not change.
 //
 // Output takes one of two paths. A space whose constrained depths form
-// one component is walked as one tree: rows go to a sink of pooled
-// fixed-size chunks and are copied once, at the end, into one exactly
-// sized backing array. A space whose constrained depths split into
-// independent components (product.go) solves each component with this
-// walk, and then, knowing the row count, allocates the exact backing
-// once and writes every cell of the product into it once: no chunks and
-// no copy. Either way, emission order is exactly the order the per-node
-// walk over the whole space would have produced, so output stays
-// byte-identical (the contract the golden parity suite and the
-// service's compare checksums verify).
+// one component is walked as one tree into a sink of pooled fixed-size
+// chunks that holds only the constrained depths' columns. A depth above
+// the product depth keeps its value over many rows, so the walk writes
+// it as one run when the value leaves (the walk moves to the depth's
+// next candidate or pops it), and the deeper constrained depths are
+// written per block. At the end the sink's rows are copied once into
+// one exactly sized backing array, and each unconstrained tail column,
+// which repeats one period over the whole output, is filled there once.
+// A space whose constrained depths split into independent components
+// (product.go) solves each component with this walk, and then, knowing
+// the row count, allocates the exact backing once and writes every cell
+// of the product into it once: no chunks and no copy. On both paths a
+// one-value column whose value has declared index 0 is not written at
+// all, since the backing starts zeroed. Either way, emission order is
+// exactly the order the per-node walk over the whole space would have
+// produced, so output stays byte-identical (the contract the golden
+// parity suite and the service's compare checksums verify).
 
 // opCode selects one typed instruction shape.
 type opCode uint8
@@ -579,8 +585,8 @@ var chunkPool = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// chunk is one fixed run of sink rows, column-major: column vi's rows
-// live at buf[vi*stride : vi*stride+rows].
+// chunk is one fixed run of sink rows, column-major: sink column j's
+// rows live at buf[j*stride : j*stride+rows].
 type chunk struct {
 	buf    []int32
 	stride int      // row capacity per column
@@ -591,29 +597,33 @@ type chunk struct {
 
 // sink is the kernel's columnar output buffer: a list of fixed-size
 // chunks taken from chunkPool, so the output never regrows or copies
-// while the walk runs. A block that does not fit in the current chunk's
-// remainder opens the next chunk; a block larger than a whole chunk gets
-// its own exactly sized, unpooled chunk. Rows are numbered across chunks
-// in emission order. When the run ends, copyRows moves them once into an
-// exactly sized output and reset hands the chunks back to the pool. A
-// parallel worker keeps one sink for all its tasks and records each
-// task's row range in it. A product block is written as one run, split
-// only where it would overflow a chunk; its EnumStats Nodes and Blocks
-// are what the per-node walk would have charged, not the one step it
-// takes.
+// while the walk runs. It holds one column per constrained depth, sink
+// column d for depth d; the unconstrained tail's columns never enter it
+// (fillTail writes them into the output). A block that does not fit in
+// the current chunk's remainder opens the next chunk; a block larger
+// than a whole chunk gets its own exactly sized, unpooled chunk. Rows
+// are numbered across chunks in emission order. A depth above the
+// plan's product depth is written as runs (fill), which may span
+// chunks; the other constrained depths are written per block. When the
+// run ends, copyRows moves the rows once into an exactly sized output
+// and reset hands the chunks back to the pool. A parallel worker keeps
+// one sink for all its tasks and records each task's row range in it.
+// A product block is written as one block, split only where it would
+// overflow a chunk; its EnumStats Nodes and Blocks are what the
+// per-node walk would have charged, not the one step it takes.
 type sink struct {
-	nvars     int
+	width     int // columns per row
 	chunkRows int // row capacity of a pooled chunk
 	rows      int // rows emitted
 	chunks    []chunk
 }
 
-func newSink(nvars int) *sink {
-	return &sink{nvars: nvars, chunkRows: chunkCells / nvars}
+func newSink(width int) *sink {
+	return &sink{width: width, chunkRows: chunkCells / max(width, 1)}
 }
 
 // reserve appends rows rows to the sink and returns the chunk storage
-// they occupy: column vi's new rows are buf[vi*stride+base:][:rows].
+// they occupy: column j's new rows are buf[j*stride+base:][:rows].
 func (s *sink) reserve(rows int) (buf []int32, stride, base int) {
 	if n := len(s.chunks); n > 0 {
 		if ch := &s.chunks[n-1]; ch.rows+rows <= ch.stride {
@@ -628,15 +638,28 @@ func (s *sink) reserve(rows int) (buf []int32, stride, base int) {
 		ch.pooled = chunkPool.Get().(*[]int32)
 		ch.buf, ch.stride = *ch.pooled, s.chunkRows
 	} else {
-		ch.buf, ch.stride = make([]int32, s.nvars*rows), rows
+		ch.buf, ch.stride = make([]int32, s.width*rows), rows
 	}
 	s.chunks = append(s.chunks, ch)
 	s.rows += rows
 	return ch.buf, ch.stride, 0
 }
 
-// copyRows copies the sink's rows [from, to) into cols, starting at row
-// at of every column.
+// fill sets column j of the sink rows [from, s.rows) to v: one run,
+// written chunk by chunk from the last one back.
+func (s *sink) fill(j, from int, v int32) {
+	for i := len(s.chunks) - 1; i >= 0; i-- {
+		ch := &s.chunks[i]
+		lo := max(from-ch.start, 0)
+		fillInt32(ch.buf[j*ch.stride+lo:j*ch.stride+ch.rows], v)
+		if lo > 0 || ch.start == from {
+			return
+		}
+	}
+}
+
+// copyRows copies the sink's rows [from, to) into cols, sink column j
+// into cols[j], starting at row at of every column.
 func (s *sink) copyRows(cols [][]int32, at, from, to int) {
 	i := sort.Search(len(s.chunks), func(i int) bool {
 		return s.chunks[i].start+s.chunks[i].rows > from
@@ -644,8 +667,8 @@ func (s *sink) copyRows(cols [][]int32, at, from, to int) {
 	for ; from < to; i++ {
 		ch := &s.chunks[i]
 		lo, hi := from-ch.start, min(ch.rows, to-ch.start)
-		for vi, col := range cols {
-			copy(col[at:], ch.buf[vi*ch.stride+lo:vi*ch.stride+hi])
+		for j, col := range cols {
+			copy(col[at:], ch.buf[j*ch.stride+lo:j*ch.stride+hi])
 		}
 		at += hi - lo
 		from += hi - lo
@@ -698,21 +721,59 @@ func fillInt32(seg []int32, v int32) {
 	}
 }
 
+// fillPeriodic writes col, a column fresh from newColumnar, as one
+// period of dom — each value's declared index repeated inner times —
+// tiled over the whole column. The column is already zero, so a
+// one-value domain whose value has declared index 0 is left as it is.
+func fillPeriodic(col []int32, dom []entry, inner int) {
+	if len(col) == 0 || len(dom) == 1 && dom[0].orig == 0 {
+		return
+	}
+	p := 0
+	for k := range dom {
+		fillInt32(col[p:p+inner], dom[k].orig)
+		p += inner
+	}
+	for p < len(col) {
+		p += copy(col[p:], col[:p])
+	}
+}
+
+// fillTail writes the unconstrained tail's columns of out: each one a
+// periodic fill over its whole column, the deepest depth fastest.
+func (c *Compiled) fillTail(out *Columnar) {
+	inner := 1
+	for d := len(c.order) - 1; d >= c.tailStart; d-- {
+		fillPeriodic(out.Cols[c.order[d]], c.doms[d], inner)
+		inner *= len(c.doms[d])
+	}
+}
+
+// sinkCols returns out's columns in sink order: one per constrained
+// depth, the column of depth d's variable at d.
+func (c *Compiled) sinkCols(out *Columnar) [][]int32 {
+	cols := make([][]int32, c.tailStart)
+	for d := range cols {
+		cols[d] = out.Cols[c.order[d]]
+	}
+	return cols
+}
+
 // emitBlock appends to the sink the cartesian block below depth from:
 // every depth before from keeps its st.idx assignment, every
 // constrained depth from on takes the domain positions of its walk list
-// st.surv[d], and every tail depth its whole domain, whose product is
-// tailRows rows. Rows land in exactly the order the per-node walk would
-// have emitted them: depth from varies slowest, the deepest depth
-// fastest, each list in walk order. The block is split along depth
-// from's list so that every piece fits a pooled chunk.
+// st.surv[d], and the tail's domains multiply it by tailRows rows. Rows
+// land in exactly the order the per-node walk would have emitted them:
+// depth from varies slowest, the deepest depth fastest, each list in
+// walk order. The block is split along depth from's list so that every
+// piece fits a pooled chunk.
 func (c *Compiled) emitBlock(snk *sink, st *state, from, tailRows int) {
 	inner := tailRows
 	for d := from + 1; d < c.tailStart; d++ {
 		inner *= len(st.surv[d])
 	}
 	if from >= c.tailStart || inner == 0 {
-		c.writeBlock(snk, st, from, inner)
+		c.writeBlock(snk, st, from, inner, tailRows)
 		return
 	}
 	list := st.surv[from]
@@ -720,15 +781,17 @@ func (c *Compiled) emitBlock(snk *sink, st *state, from, tailRows int) {
 	for rest := list; len(rest) > 0; {
 		m := min(per, len(rest))
 		st.surv[from] = rest[:m]
-		c.writeBlock(snk, st, from, m*inner)
+		c.writeBlock(snk, st, from, m*inner, tailRows)
 		rest = rest[m:]
 	}
 	st.surv[from] = list
 }
 
 // writeBlock writes one piece of emitBlock's block, rows rows, into
-// newly reserved sink rows.
-func (c *Compiled) writeBlock(snk *sink, st *state, from, rows int) {
+// newly reserved sink rows. It writes only the depths from the product
+// depth down to the tail: the walk writes the depths above as runs and
+// fillTail the tail.
+func (c *Compiled) writeBlock(snk *sink, st *state, from, rows, tailRows int) {
 	if rows == 0 {
 		return
 	}
@@ -736,48 +799,30 @@ func (c *Compiled) writeBlock(snk *sink, st *state, from, rows int) {
 	if rows == 1 {
 		// A single-valued tail (common: fixed parameters sort last)
 		// makes many blocks one row; write one cell per column.
-		for d, vi := range c.order {
-			v := st.idx[vi]
-			if d >= max(from, c.tailStart) {
-				v = c.doms[d][0].orig
-			} else if d >= from {
+		for d := c.prodFrom; d < c.tailStart; d++ {
+			v := st.idx[c.order[d]]
+			if d >= from {
 				v = c.doms[d][st.surv[d][0]].orig
 			}
-			buf[vi*stride+base] = v
+			buf[d*stride+base] = v
 		}
 		return
 	}
-	for d := 0; d < from; d++ {
-		vi := c.order[d]
-		fillInt32(buf[vi*stride+base:][:rows], st.idx[vi])
+	for d := c.prodFrom; d < min(from, c.tailStart); d++ {
+		fillInt32(buf[d*stride+base:][:rows], st.idx[c.order[d]])
 	}
-	inner := 1
-	for d := len(c.order) - 1; d >= from; d-- {
-		vi := c.order[d]
+	inner := tailRows
+	for d := c.tailStart - 1; d >= from; d-- {
 		dom := c.doms[d]
-		seg := buf[vi*stride+base:][:rows]
-		var list []int32
-		n := len(dom)
-		if d < c.tailStart {
-			list = st.surv[d]
-			n = len(list)
-		}
-		if n == 1 {
-			v := dom[0].orig
-			if list != nil {
-				v = dom[list[0]].orig
-			}
-			fillInt32(seg, v)
+		list := st.surv[d]
+		seg := buf[d*stride+base:][:rows]
+		if len(list) == 1 {
+			fillInt32(seg, dom[list[0]].orig)
 			continue
 		}
-		// One period: each of the depth's values repeated inner
-		// times…
+		// One period: each of the list's values repeated inner times…
 		p := 0
-		for k := range n {
-			pk := k
-			if list != nil {
-				pk = int(list[k])
-			}
+		for _, pk := range list {
 			fillInt32(seg[p:p+inner], dom[pk].orig)
 			p += inner
 		}
@@ -786,7 +831,7 @@ func (c *Compiled) writeBlock(snk *sink, st *state, from, rows int) {
 		for p < rows {
 			p += copy(seg[p:], seg[:p])
 		}
-		inner *= n
+		inner *= len(list)
 	}
 }
 
@@ -825,7 +870,12 @@ func (c *Compiled) candidates(d int, st *state) []int32 {
 // tables, exactly as a sequential walk reaching that prefix would),
 // walks the constrained depths by the walk plan, and emits
 // every subtree below the deepest constrained depth as one bulk
-// cartesian block. st is caller-owned scratch reused across calls; stop
+// cartesian block. A depth above the product depth keeps its value
+// over a run of rows, so the walk writes it into the sink once per
+// run: when it moves to the depth's next candidate or pops the depth,
+// and, for a pinned depth, when the task ends. Blocks write the deeper
+// constrained depths; the tail's columns stay out of the sink (see
+// fillTail). st is caller-owned scratch reused across calls; stop
 // is polled every few thousand loop iterations AND charged per emitted
 // block, so cancellation latency matches the per-node walk. es, when
 // non-nil, accumulates execution stats. ps, when non-nil, receives
@@ -835,6 +885,7 @@ func (c *Compiled) candidates(d int, st *state) []int32 {
 func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() bool, es *EnumStats, ps *ProgressSink) (canceled bool) {
 	n := len(c.order)
 	k := len(pfx)
+	taskStart := snk.rows
 	for d := 0; d < k; d++ {
 		vi := c.order[d]
 		e := &c.doms[d][pfx[d]]
@@ -869,6 +920,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			return true
 		}
 		c.emitBlock(snk, st, blockStart, int(blockRows))
+		c.flushPinned(snk, st, k, taskStart)
 		if es != nil {
 			es.Blocks++
 			es.BlockRows += blockRows
@@ -887,8 +939,10 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 	leaf := blockStart - 1
 	prod := max(c.prodFrom, k+1)
 	trial := st.trial
+	runs := st.runs
 	depth := k
 	trial[depth] = -1
+	runs[depth] = snk.rows
 	st.surv[depth] = c.candidates(depth, st)
 	// nodes is the stop-pacing charge: walked loop iterations PLUS each
 	// emitted block's whole subtree, so cancellation latency matches the
@@ -923,6 +977,12 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			nextPoll = nodes + stopCheckMask + 1
 		}
 		nodes++
+		vi := c.order[depth]
+		if depth < c.prodFrom && runs[depth] < snk.rows {
+			// The depth's value leaves: write its run.
+			snk.fill(depth, runs[depth], st.idx[vi])
+			runs[depth] = snk.rows
+		}
 		// trial indexes the depth's walk list, which holds domain
 		// positions; see candidates.
 		trial[depth]++
@@ -933,7 +993,6 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		}
 		p := int(cand[trial[depth]])
 		st.pos[depth] = p
-		vi := c.order[depth]
 		e := &c.doms[depth][p]
 		st.vals[vi] = e.val
 		st.nums[vi] = e.num
@@ -954,6 +1013,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 		}
 		depth++
 		trial[depth] = -1
+		runs[depth] = snk.rows
 		st.surv[depth] = c.candidates(depth, st)
 		if depth >= prod {
 			// The per-node walk would try every entry of the product,
@@ -984,6 +1044,7 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 			}
 		}
 	}
+	c.flushPinned(snk, st, k, taskStart)
 	if es != nil {
 		es.Nodes += nodes - blocks*tailNodes
 		es.Blocks += blocks
@@ -996,6 +1057,14 @@ func (c *Compiled) enumColumnar(snk *sink, pfx []int, st *state, stop func() boo
 	return false
 }
 
+// flushPinned writes the runs of a task's first k pinned depths that lie
+// above the product depth over the task's rows, [from, snk.rows).
+func (c *Compiled) flushPinned(snk *sink, st *state, k, from int) {
+	for d := 0; d < min(k, c.prodFrom); d++ {
+		snk.fill(d, from, st.idx[c.order[d]])
+	}
+}
+
 // SolveColumnarStatsSink is SolveColumnarExec on one worker with stop
 // and ps and no OnProgress: the rows, the kernel's execution stats
 // (constrained node visits, bulk blocks and block rows) and whether stop
@@ -1004,16 +1073,18 @@ func (c *Compiled) SolveColumnarStatsSink(stop func() bool, ps *ProgressSink) (*
 	return c.SolveColumnarExec(Exec{Workers: 1, Stop: stop, Sink: ps})
 }
 
-// solveWalk is the sequential columnar solve as one planned walk: rows
-// go to a pooled chunk sink and are copied once into the exact output.
+// solveWalk is the sequential columnar solve as one planned walk: the
+// constrained depths' rows go to a pooled chunk sink and are copied once
+// into the exact output, and fillTail writes the tail's columns there.
 func (c *Compiled) solveWalk(stop func() bool, ps *ProgressSink) (*Columnar, EnumStats, bool) {
 	var es EnumStats
-	snk := newSink(len(c.names))
+	snk := newSink(c.tailStart)
 	defer snk.reset()
 	if c.enumColumnar(snk, nil, c.newState(), stop, &es, ps) {
 		return c.newColumnar(0), es, true
 	}
 	out := c.newColumnar(snk.rows)
-	snk.copyRows(out.Cols, 0, 0, snk.rows)
+	snk.copyRows(c.sinkCols(out), 0, 0, snk.rows)
+	c.fillTail(out)
 	return out, es, false
 }

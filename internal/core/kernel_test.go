@@ -373,6 +373,54 @@ func TestSinkChunkBoundaries(t *testing.T) {
 	check("reuse after reset")
 }
 
+// TestSinkFillSpansChunks writes runs with fill while blocks open pooled
+// and oversize chunks, and reads them back with copyRows: a run that
+// starts in one chunk and ends several chunks later writes every row of
+// its column in between and no row of another column.
+func TestSinkFillSpansChunks(t *testing.T) {
+	const width = 3
+	s := newSink(width)
+	defer s.reset()
+	var want [width][]int32
+	for i := 0; i < 300; i++ {
+		rows := 1 + (i*7919)%(s.chunkRows/3)
+		if i%97 == 50 {
+			rows = 2*s.chunkRows + 3 // its own oversize chunk
+		}
+		buf, stride, base := s.reserve(rows)
+		for r := 0; r < rows; r++ {
+			v := int32(-len(want[2]))
+			buf[2*stride+base+r] = v
+			want[2] = append(want[2], v)
+		}
+		// Column 0 changes value every 7th block, column 1 every 11th.
+		for j, every := range []int{7, 11} {
+			if i%every == every-1 || i == 299 {
+				from := len(want[j])
+				s.fill(j, from, int32(1000*j+i))
+				for len(want[j]) < s.rows {
+					want[j] = append(want[j], int32(1000*j+i))
+				}
+			}
+		}
+	}
+	if len(s.chunks) < 10 {
+		t.Fatalf("only %d chunks", len(s.chunks))
+	}
+	cols := make([][]int32, width)
+	for j := range cols {
+		cols[j] = make([]int32, s.rows)
+	}
+	s.copyRows(cols, 0, 0, s.rows)
+	for j := range cols {
+		for r, v := range cols[j] {
+			if v != want[j][r] {
+				t.Fatalf("column %d row %d = %d, want %d", j, r, v, want[j][r])
+			}
+		}
+	}
+}
+
 // TestOutputExactBacking pins the output layout on Hotspot, sequential
 // and with 7 workers: every column is a window of one nvars×rows
 // backing array at stride rows, so a result holds exactly the bytes its

@@ -272,15 +272,7 @@ func (c *Compiled) fillProduct(out *Columnar, sols []*Columnar, stop func() bool
 		if stopped() {
 			return 0, true
 		}
-		col := out.Cols[c.order[d]]
-		p := 0
-		for k := range dom {
-			fillInt32(col[p:p+tailRows], dom[k].orig)
-			p += tailRows
-		}
-		for p < len(col) {
-			p += copy(col[p:], col[:p])
-		}
+		fillPeriodic(out.Cols[c.order[d]], dom, tailRows)
 		tailRows *= len(dom)
 	}
 
