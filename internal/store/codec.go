@@ -198,45 +198,56 @@ func narrow(dst []byte, col []int32, w, domain int) error {
 
 // DecodeBytes parses one snapshot blob, verifying the checksum before
 // trusting any payload bytes and fully validating the content
-// (definition, method, column bounds) before materializing the space.
-// Every failure mode is an error — never a panic — so a hostile or
-// bit-flipped blob degrades to a cache miss. It decodes in place:
-// nothing is allocated on the strength of the declared length, so a
-// length field claiming more than raw holds is a truncation, not an
-// out-of-memory crash. Trailing garbage is rejected.
+// (definition, method, every cell against its domain) before
+// materializing the space. Every failure mode is an error — never a
+// panic — so a hostile or bit-flipped blob degrades to a cache miss. It
+// decodes in place: nothing is allocated on the strength of the
+// declared length, so a length field claiming more than raw holds is a
+// truncation, not an out-of-memory crash. Trailing garbage is rejected.
 func DecodeBytes(raw []byte) (*Snapshot, error) {
-	if len(raw) < headerBytes {
-		return nil, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(raw))
-	}
-	if !bytes.Equal(raw[:6], magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	version := binary.LittleEndian.Uint16(raw[6:8])
-	if version == 0 || version > Version {
-		return nil, fmt.Errorf("%w: version %d (this binary reads 1..%d)", ErrVersion, version, Version)
-	}
-	length := binary.LittleEndian.Uint64(raw[8:16])
-	if length > maxPayloadBytes {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, length)
-	}
-	body := uint64(len(raw) - headerBytes)
-	switch {
-	case body < length:
-		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, body, length)
-	case body < length+sha256.Size:
-		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
-	case body > length+sha256.Size:
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, body-length-sha256.Size)
-	}
-	payload := raw[headerBytes : headerBytes+length]
-	if sha256.Sum256(payload) != [sha256.Size]byte(raw[headerBytes+length:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	payload, version, err := verifyBlob(raw)
+	if err != nil {
+		return nil, err
 	}
 	snap, err := decodePayload(payload, version)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return snap, nil
+}
+
+// verifyBlob checks a blob's framing — magic, version, declared length
+// against the bytes present — and its checksum, and returns the
+// payload it vouches for.
+func verifyBlob(raw []byte) ([]byte, uint16, error) {
+	if len(raw) < headerBytes {
+		return nil, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(raw))
+	}
+	if !bytes.Equal(raw[:6], magic[:]) {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	version := binary.LittleEndian.Uint16(raw[6:8])
+	if version == 0 || version > Version {
+		return nil, 0, fmt.Errorf("%w: version %d (this binary reads 1..%d)", ErrVersion, version, Version)
+	}
+	length := binary.LittleEndian.Uint64(raw[8:16])
+	if length > maxPayloadBytes {
+		return nil, 0, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, length)
+	}
+	body := uint64(len(raw) - headerBytes)
+	switch {
+	case body < length:
+		return nil, 0, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, body, length)
+	case body < length+sha256.Size:
+		return nil, 0, fmt.Errorf("%w: missing checksum", ErrCorrupt)
+	case body > length+sha256.Size:
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, body-length-sha256.Size)
+	}
+	payload := raw[headerBytes : headerBytes+length]
+	if sha256.Sum256(payload) != [sha256.Size]byte(raw[headerBytes+length:]) {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, version, nil
 }
 
 // encodePrefix lowers everything before the cell block: the method,
@@ -298,29 +309,56 @@ func encodePrefix(snap *Snapshot) ([]byte, error) {
 // version, ending with a materialized space. It trusts nothing: counts
 // are sanity-bounded before allocation, the definition is re-validated,
 // the method label must resolve, declared sizes must be internally
-// consistent, and FromColumns re-checks every cell against its domain.
+// consistent, and every cell is checked against its domain as it is
+// widened.
 func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
+	snap, cells, err := decodePrefix(payload, version)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := cells.columns(snap.Def)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Space, err = searchspace.FromColumns(snap.Def, cols); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// cellBlock is the column data that follows a payload's prefix: rows
+// cells per column, column p's at widths[p] bytes apiece, column-major.
+// decodePrefix has already checked that data is exactly that long.
+type cellBlock struct {
+	data   []byte
+	rows   int
+	widths []int
+}
+
+// decodePrefix parses everything before the cell block into a snapshot
+// without a space, and sizes the cell block against the definition.
+func decodePrefix(payload []byte, version uint16) (*Snapshot, cellBlock, error) {
 	d := &payloadReader{buf: payload}
 	methodName := d.str()
 	name := d.str()
 	nParams := d.u32()
 	if d.err != nil {
-		return nil, d.err
+		return nil, cellBlock{}, d.err
 	}
 	// Each count is also held to the bytes left, at the fewest bytes
 	// an entry can take, so no allocation outgrows the blob.
 	if nParams > 1<<20 || uint64(nParams)*8 > d.left() {
-		return nil, fmt.Errorf("implausible parameter count %d", nParams)
+		return nil, cellBlock{}, fmt.Errorf("implausible parameter count %d", nParams)
 	}
 	def := &model.Definition{Name: name, Params: make([]model.Param, nParams)}
 	for i := range def.Params {
 		pname := d.str()
 		nVals := d.u32()
 		if d.err != nil {
-			return nil, d.err
+			return nil, cellBlock{}, d.err
 		}
 		if nVals > 1<<26 || uint64(nVals)*2 > d.left() {
-			return nil, fmt.Errorf("implausible domain size %d for parameter %q", nVals, pname)
+			return nil, cellBlock{}, fmt.Errorf("implausible domain size %d for parameter %q", nVals, pname)
 		}
 		vals := make([]value.Value, nVals)
 		for j := range vals {
@@ -330,10 +368,10 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	}
 	nCons := d.u32()
 	if d.err != nil {
-		return nil, d.err
+		return nil, cellBlock{}, d.err
 	}
 	if nCons > 1<<20 || uint64(nCons)*4 > d.left() {
-		return nil, fmt.Errorf("implausible constraint count %d", nCons)
+		return nil, cellBlock{}, fmt.Errorf("implausible constraint count %d", nCons)
 	}
 	def.Constraints = make([]string, nCons)
 	for i := range def.Constraints {
@@ -366,10 +404,10 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	}
 	nBounds := d.u32()
 	if d.err != nil {
-		return nil, d.err
+		return nil, cellBlock{}, d.err
 	}
 	if nBounds != nParams {
-		return nil, fmt.Errorf("%d bounds for %d parameters", nBounds, nParams)
+		return nil, cellBlock{}, fmt.Errorf("%d bounds for %d parameters", nBounds, nParams)
 	}
 	bounds := make([]searchspace.ParamBounds, nBounds)
 	for i := range bounds {
@@ -383,10 +421,10 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	}
 	rows := d.u64()
 	if d.err != nil {
-		return nil, d.err
+		return nil, cellBlock{}, d.err
 	}
 	if rows != valid {
-		return nil, fmt.Errorf("row count %d disagrees with recorded valid size %d", rows, valid)
+		return nil, cellBlock{}, fmt.Errorf("row count %d disagrees with recorded valid size %d", rows, valid)
 	}
 	// Every cell is 4 bytes up to version 5; from version 6 a column's
 	// width follows from its domain, which the definition above fixed.
@@ -412,7 +450,7 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 	switch {
 	case nParams == 0:
 		if rows != 0 || remaining != 0 {
-			return nil, fmt.Errorf("parameterless snapshot claims %d rows with %d data bytes", rows, remaining)
+			return nil, cellBlock{}, fmt.Errorf("parameterless snapshot claims %d rows with %d data bytes", rows, remaining)
 		}
 	case rows > product:
 		// A space holds distinct configurations, so its rows cannot
@@ -420,43 +458,20 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 		// whose columns are all width 0: there, no amount of column data
 		// is missing, and a checksum-valid 2^62-row claim would
 		// otherwise panic the column allocation.
-		return nil, fmt.Errorf("row count %d exceeds the %d configurations of the cartesian product", rows, product)
+		return nil, cellBlock{}, fmt.Errorf("row count %d exceeds the %d configurations of the cartesian product", rows, product)
 	case rowBytes > 0 && rows > remaining/rowBytes:
 		// Also the overflow guard: rows*rowBytes wrapping around would
 		// otherwise defeat the size check below.
-		return nil, fmt.Errorf("row count %d exceeds the column data present", rows)
+		return nil, cellBlock{}, fmt.Errorf("row count %d exceeds the column data present", rows)
 	}
 	if need := rows * rowBytes; remaining != need {
-		return nil, fmt.Errorf("column data is %d bytes, want %d", remaining, need)
-	}
-	// Width-0 columns share one zero-filled backing. Columns are
-	// read-only once built, and sharing keeps what a restore allocates
-	// linear in the blob's size, however many one-value parameters the
-	// definition declares.
-	cols := make([][]int32, nParams)
-	var zeros []int32
-	for p := range cols {
-		if widths[p] == 0 {
-			if zeros == nil {
-				zeros = make([]int32, rows)
-			}
-			cols[p] = zeros
-			continue
-		}
-		cols[p] = widen(d.bytes(int(rows)*widths[p]), int(rows), widths[p])
-	}
-	if d.err != nil {
-		return nil, d.err
+		return nil, cellBlock{}, fmt.Errorf("column data is %d bytes, want %d", remaining, need)
 	}
 	method, ok := searchspace.MethodByName(methodName)
 	if !ok {
-		return nil, fmt.Errorf("unknown construction method %q", methodName)
+		return nil, cellBlock{}, fmt.Errorf("unknown construction method %q", methodName)
 	}
-	ss, err := searchspace.FromColumns(def, cols)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
+	snap := &Snapshot{
 		Def:    def,
 		Method: method,
 		Stats: searchspace.BuildStats{
@@ -470,29 +485,79 @@ func decodePayload(payload []byte, version uint16) (*Snapshot, error) {
 		},
 		Bounds:   bounds,
 		ParentID: parentID,
-		Space:    ss,
-	}, nil
+	}
+	return snap, cellBlock{data: d.bytes(int(remaining)), rows: int(rows), widths: widths}, nil
 }
 
-// widen decodes rows cells of w (1, 2 or 4) bytes each into a column
-// of value indices.
-func widen(raw []byte, rows, w int) []int32 {
-	col := make([]int32, rows)
+// columns widens the cell block into one column of value indices per
+// parameter of def, checking every cell against its parameter's domain
+// as it is written. Width-0 columns share one zero-filled backing.
+// Columns are read-only once built, and sharing keeps what a restore
+// allocates linear in the blob's size, however many one-value
+// parameters the definition declares.
+func (c cellBlock) columns(def *model.Definition) ([][]int32, error) {
+	cols := make([][]int32, len(c.widths))
+	var zeros []int32
+	data := c.data
+	for p, w := range c.widths {
+		if w == 0 {
+			if zeros == nil {
+				zeros = make([]int32, c.rows)
+			}
+			cols[p] = zeros
+			continue
+		}
+		param := def.Params[p]
+		col, err := widen(data[:c.rows*w], w, len(param.Values))
+		if err != nil {
+			return nil, fmt.Errorf("column %q %w", param.Name, err)
+		}
+		cols[p] = col
+		data = data[c.rows*w:]
+	}
+	return cols, nil
+}
+
+// widen decodes raw's cells of w (1, 2 or 4) bytes each into a column
+// of value indices, refusing the first cell that is not an index into
+// a domain of the given size. The comparison is unsigned, so a 4-byte
+// cell of 2^31 or more (negative as an int32) is refused as well.
+func widen(raw []byte, w, domain int) ([]int32, error) {
+	col := make([]int32, len(raw)/w)
+	dom := uint32(domain)
 	switch w {
 	case 1:
-		for r, c := range raw[:rows] {
+		raw = raw[:len(col)]
+		for r, c := range raw {
+			if uint32(c) >= dom {
+				return nil, outsideDomain(r, uint32(c), domain)
+			}
 			col[r] = int32(c)
 		}
 	case 2:
+		raw = raw[:2*len(col)]
 		for r := range col {
-			col[r] = int32(binary.LittleEndian.Uint16(raw[2*r:]))
+			c := uint32(binary.LittleEndian.Uint16(raw[2*r:]))
+			if c >= dom {
+				return nil, outsideDomain(r, c, domain)
+			}
+			col[r] = int32(c)
 		}
 	default:
+		raw = raw[:4*len(col)]
 		for r := range col {
-			col[r] = int32(binary.LittleEndian.Uint32(raw[4*r:]))
+			c := binary.LittleEndian.Uint32(raw[4*r:])
+			if c >= dom {
+				return nil, outsideDomain(r, c, domain)
+			}
+			col[r] = int32(c)
 		}
 	}
-	return col
+	return col, nil
+}
+
+func outsideDomain(row int, index uint32, domain int) error {
+	return fmt.Errorf("row %d: value index %d outside domain of %d", row, index, domain)
 }
 
 // kind tags for encoded values; distinct from value.Kind so the wire

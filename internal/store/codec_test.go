@@ -9,8 +9,10 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,6 +226,82 @@ func TestEncodeRefusesOutOfDomainCell(t *testing.T) {
 		if _, err := DecodeBytes(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("column %d: index %d decoded with %v, want ErrCorrupt", p, bad, err)
 		}
+	}
+}
+
+// TestDecodeRefusesOutOfDomainCell: a checksum-valid blob carrying one
+// cell outside its parameter's domain must be ErrCorrupt naming the
+// parameter and the row, at every cell width, and through the store a
+// miss that quarantines the blob. The 4-byte cell 0x80000000 reads back
+// as a negative int32, so it pins that the check is unsigned.
+func TestDecodeRefusesOutOfDomainCell(t *testing.T) {
+	const row = 57
+	// setCell rewrites one cell of a version-6 widthsSnapshot blob and
+	// re-stamps it. The cell block starts after the prefix, column by
+	// column: "small" at 1 byte a cell, "mid" at 2, "wide" at 4.
+	setCell := func(col string, index uint32) []byte {
+		snap := widthsSnapshot(t)
+		raw, err := EncodeBytes(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, err := encodePrefix(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := snap.Space.Size()
+		payload := raw[headerBytes : len(raw)-sha256.Size]
+		cells := payload[len(prefix):]
+		switch col {
+		case "small":
+			cells[row] = byte(index)
+		case "mid":
+			binary.LittleEndian.PutUint16(cells[rows+2*row:], uint16(index))
+		case "wide":
+			binary.LittleEndian.PutUint32(cells[3*rows+4*row:], index)
+		}
+		return stamp(Version, payload)
+	}
+	legacy := buildSnapshot(t, searchspace.Optimized)
+	legacy.Space.Columns()[0][row] = math.MinInt32 // 0x80000000 as a 4-byte cell
+	cases := []struct {
+		name, param string
+		blob        []byte
+	}{
+		{"1-byte", "small", setCell("small", 4)},
+		{"2-byte", "mid", setCell("mid", 300)},
+		{"4-byte", "wide", setCell("wide", 1<<16+1)},
+		{"4-byte-sign-bit", "wide", setCell("wide", 0x80000000)},
+		{"v5-sign-bit", "block", legacyBlob(t, legacy, 5)},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DecodeBytes(tc.blob)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeBytes: %v, want ErrCorrupt", err)
+			}
+			if want := fmt.Sprintf("column %q row %d:", tc.param, row); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+			dir := t.TempDir()
+			id := testID(i)
+			if err := os.WriteFile(filepath.Join(dir, id+snapSuffix), tc.blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Store.Get: %v, want ErrNotFound", err)
+			}
+			if st := s.Stats(); st.Quarantined != 1 || st.Misses != 1 {
+				t.Errorf("store stats %+v, want one miss and the blob quarantined", st)
+			}
+			if _, err := os.Stat(filepath.Join(dir, id+corruptSuffix)); err != nil {
+				t.Errorf("no quarantined file: %v", err)
+			}
+		})
 	}
 }
 
@@ -645,9 +723,9 @@ func TestParentIDRoundTrip(t *testing.T) {
 }
 
 // FuzzSnapshotDecode holds the decoder's contract on arbitrary input:
-// a typed error (ErrCorrupt or ErrVersion) or a space that FromColumns
-// accepts, never a panic or an allocation the blob's own size does not
-// justify. Each input is also tried re-framed with a matching length
+// a typed error (ErrCorrupt or ErrVersion) or a space whose every cell
+// is an index into its parameter's domain, never a panic or an
+// allocation the blob's own size does not justify. Each input is also tried re-framed with a matching length
 // and checksum: a random mutation almost never survives the SHA-256,
 // and the payload parser behind it is where counts turn into
 // allocations.
@@ -676,10 +754,22 @@ func checkDecoded(t *testing.T, raw []byte) {
 		}
 		return
 	}
-	if _, err := searchspace.FromColumns(snap.Def, snap.Space.Columns()); err != nil {
-		t.Fatalf("decoded space fails FromColumns: %v", err)
-	}
 	if snap.Space.Size() != snap.Stats.Valid {
 		t.Fatalf("decoded %d rows, stats say %d", snap.Space.Size(), snap.Stats.Valid)
+	}
+	cols := snap.Space.Columns()
+	if len(cols) != len(snap.Def.Params) {
+		t.Fatalf("decoded %d columns for %d parameters", len(cols), len(snap.Def.Params))
+	}
+	for p, col := range cols {
+		if len(col) != snap.Space.Size() {
+			t.Fatalf("column %d has %d rows, space has %d", p, len(col), snap.Space.Size())
+		}
+		domain := len(snap.Def.Params[p].Values)
+		for r, di := range col {
+			if di < 0 || int(di) >= domain {
+				t.Fatalf("column %d row %d: value index %d outside domain of %d", p, r, di, domain)
+			}
+		}
 	}
 }

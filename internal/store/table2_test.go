@@ -2,6 +2,11 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,6 +28,116 @@ func table2Snapshots(tb testing.TB) []*Snapshot {
 			Stats: stats, Bounds: ss.TrueBounds(), Space: ss})
 	}
 	return out
+}
+
+// refDecodeBytes is DecodeBytes as it was before cells were checked
+// while being widened: every column is widened unchecked, and a second
+// pass then reads every cell again to check it against its domain. It
+// is the reference BenchmarkSnapshotDecode times DecodeBytes against.
+func refDecodeBytes(raw []byte) (*Snapshot, error) {
+	payload, version, err := verifyBlob(raw)
+	if err != nil {
+		return nil, err
+	}
+	snap, cells, err := decodePrefix(payload, version)
+	if err != nil {
+		return nil, err
+	}
+	params := snap.Def.Params
+	cols := make([][]int32, len(params))
+	var zeros []int32
+	data := cells.data
+	for p, w := range cells.widths {
+		if w == 0 {
+			if zeros == nil {
+				zeros = make([]int32, cells.rows)
+			}
+			cols[p] = zeros
+			continue
+		}
+		col := make([]int32, cells.rows)
+		switch w {
+		case 1:
+			for r, c := range data[:cells.rows] {
+				col[r] = int32(c)
+			}
+		case 2:
+			for r := range col {
+				col[r] = int32(binary.LittleEndian.Uint16(data[2*r:]))
+			}
+		default:
+			for r := range col {
+				col[r] = int32(binary.LittleEndian.Uint32(data[4*r:]))
+			}
+		}
+		cols[p] = col
+		data = data[cells.rows*w:]
+	}
+	for p, col := range cols {
+		domain := int32(len(params[p].Values))
+		for r, di := range col {
+			if di < 0 || di >= domain {
+				return nil, fmt.Errorf("%w: column %q row %d: value index %d outside domain of %d",
+					ErrCorrupt, params[p].Name, r, di, domain)
+			}
+		}
+	}
+	if snap.Space, err = searchspace.FromColumns(snap.Def, cols); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// BenchmarkSnapshotDecode times DecodeBytes on Hotspot's blob, which
+// checks each cell against its domain as it widens it, against
+// refDecodeBytes, which checks in a second pass. Each side takes the
+// fastest of at least 7 runs, alternating, each after a collection so
+// that neither pays for the other's garbage. It reports both times and
+// ref/fast.
+func BenchmarkSnapshotDecode(b *testing.B) {
+	var raw []byte
+	for _, def := range workloads.RealWorld() {
+		if def.Name != "Hotspot" {
+			continue
+		}
+		ss, stats, err := searchspace.FromDefinition(def).BuildTimed(searchspace.Optimized)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if raw, err = EncodeBytes(&Snapshot{Def: def, Method: searchspace.Optimized,
+			Stats: stats, Bounds: ss.TrueBounds(), Space: ss}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fast, err := DecodeBytes(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref, err := refDecodeBytes(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !reflect.DeepEqual(fast.Space.Columns(), ref.Space.Columns()) {
+		b.Fatal("DecodeBytes and the reference decode disagree")
+	}
+	fastBest, refBest := math.Inf(1), math.Inf(1)
+	timed := func(decode func([]byte) (*Snapshot, error)) float64 {
+		runtime.GC()
+		start := time.Now()
+		if _, err := decode(raw); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start).Seconds()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N || i < 7; i++ {
+		fastBest = min(fastBest, timed(DecodeBytes))
+		refBest = min(refBest, timed(refDecodeBytes))
+	}
+	b.ReportMetric(fastBest*1e3, "fast_ms")
+	b.ReportMetric(refBest*1e3, "ref_ms")
+	b.ReportMetric(refBest/fastBest, "ref/fast")
+	b.ReportMetric(0, "ns/op")
 }
 
 // TestSnapshotBlobSize pins the version-6 size of the eight Table 2
@@ -67,7 +182,7 @@ func TestSnapshotBlobSize(t *testing.T) {
 
 // BenchmarkSnapshotPutGet times the store tier on each Table 2 space
 // through a real Store: Put (encode, write, fsync, rename) into an
-// empty directory, then Get (read, verify, decode, FromColumns) back.
+// empty directory, then Get (read, verify, decode) back.
 // It reports the blob's bytes per row and the mean put and get times.
 func BenchmarkSnapshotPutGet(b *testing.B) {
 	for _, snap := range table2Snapshots(b) {

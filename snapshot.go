@@ -27,11 +27,13 @@ func (ss *SearchSpace) Columns() [][]int32 { return ss.s.Columns() }
 
 // FromColumns reconstructs a fully materialized SearchSpace from a
 // definition and previously produced columns (for example a decoded
-// snapshot), rebuilding the row index without running a solver. Every
-// column must be the same length and every cell a valid index into its
-// parameter's declared values; enumeration order — and therefore row
-// indices, sampling, and neighbor answers — is exactly the column
-// order given.
+// snapshot) without running a solver; the columns are retained, not
+// copied. Every column must be the same length, which FromColumns
+// checks. Every cell must be a valid index into its parameter's
+// declared values, which it does not check: Columns() output always
+// is, and the snapshot decoder (internal/store) checks each cell as it
+// reads it. Enumeration order — and therefore row indices, sampling, and
+// neighbor answers — is exactly the column order given.
 func FromColumns(def *model.Definition, cols [][]int32) (*SearchSpace, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -47,13 +49,6 @@ func FromColumns(def *model.Definition, cols [][]int32) (*SearchSpace, error) {
 		if len(col) != rows {
 			return nil, fmt.Errorf("searchspace: column %q has %d rows, column %q has %d",
 				def.Params[p].Name, len(col), def.Params[0].Name, rows)
-		}
-		domain := int32(len(def.Params[p].Values))
-		for r, di := range col {
-			if di < 0 || di >= domain {
-				return nil, fmt.Errorf("searchspace: column %q row %d: value index %d outside domain of %d",
-					def.Params[p].Name, r, di, domain)
-			}
 		}
 	}
 	names := make([]string, len(def.Params))
