@@ -14,20 +14,6 @@ import (
 	"searchspace/internal/workloads"
 )
 
-// ablationOptions selects which §4.3 optimizations the ablation
-// benchmarks enable.
-type ablationOptions struct {
-	Sort, Preprocess, Partial bool
-}
-
-func (o ablationOptions) toCore() core.Options {
-	return core.Options{
-		SortVariables: o.Sort,
-		Preprocess:    o.Preprocess,
-		PartialChecks: o.Partial,
-	}
-}
-
 // BenchmarkOptimizedVsChainOfTrees holds the paper's headline: it
 // reports cot/opt, the fastest of at least seven single-worker
 // chain-of-trees builds over the fastest of as many optimized ones
@@ -56,53 +42,54 @@ func BenchmarkOptimizedVsChainOfTrees(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks: the individual §4.3 optimizations on Hotspot,
-// isolating what each contributes (DESIGN.md's ablation entry).
-
-func benchAblation(b *testing.B, mutate func(*ablationOptions)) {
-	b.Helper()
-	def := workloads.Hotspot()
-	p, err := def.ToProblem()
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkAblation times the construction path with each §4.3
+// optimization switched off in turn, over the eight Table 2 spaces:
+// one op compiles with the option set and enumerates with
+// SolveColumnarExec on one worker, the kernel a build runs. nodes/op
+// and blocks/op are the walk's EnumStats; unlike the time, they are
+// deterministic, so they show what an option set changes even where
+// the timings overlap. A -benchtime 1x run charges heap growth to each
+// space's first option set; compare medians over -count instead.
+func BenchmarkAblation(b *testing.B) {
+	sets := []struct {
+		name string
+		opt  core.Options
+	}{
+		{"all", core.DefaultOptions()},
+		{"no-sort", core.Options{Preprocess: true, PartialChecks: true}},
+		{"no-preprocess", core.Options{SortVariables: true, PartialChecks: true}},
+		{"no-partial", core.Options{SortVariables: true, Preprocess: true}},
+		{"none", core.Options{}},
 	}
-	opts := ablationOptions{Sort: true, Preprocess: true, Partial: true}
-	mutate(&opts)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		compiled := p.Compile(opts.toCore())
-		if compiled.Count() == 0 {
-			b.Fatal("empty")
+	for _, def := range workloads.RealWorld() {
+		p, err := def.ToProblem()
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(def.Name, func(b *testing.B) {
+			for _, set := range sets {
+				b.Run(set.name, func(b *testing.B) {
+					b.ReportAllocs()
+					var es core.EnumStats
+					for i := 0; i < b.N; i++ {
+						col, stats, _ := p.Compile(set.opt).SolveColumnarExec(core.Exec{Workers: 1})
+						if col.NumSolutions() == 0 {
+							b.Fatal("empty space")
+						}
+						es = stats
+					}
+					b.ReportMetric(float64(es.Nodes), "nodes/op")
+					b.ReportMetric(float64(es.Blocks), "blocks/op")
+				})
+			}
+		})
 	}
 }
 
-func BenchmarkAblationAllOptimizations(b *testing.B) {
-	benchAblation(b, func(*ablationOptions) {})
-}
-
-func BenchmarkAblationNoVariableSort(b *testing.B) {
-	benchAblation(b, func(o *ablationOptions) { o.Sort = false })
-}
-
-func BenchmarkAblationNoPreprocessing(b *testing.B) {
-	benchAblation(b, func(o *ablationOptions) { o.Preprocess = false })
-}
-
-func BenchmarkAblationNoPartialChecks(b *testing.B) {
-	benchAblation(b, func(o *ablationOptions) { o.Partial = false })
-}
-
-func BenchmarkAblationNoneEnabled(b *testing.B) {
-	benchAblation(b, func(o *ablationOptions) { o.Sort, o.Preprocess, o.Partial = false, false, false })
-}
-
-// Solver hot-path benchmarks: the enumeration kernel alone (compile
-// excluded from the timed region would hide preprocessing wins, so the
-// Compile happens once outside the loop and only enumeration is
-// measured). The *Ref variants run the retained pre-kernel closure
-// path, so `go test -bench 'SolveColumnar|ForEach'` shows the
-// before/after directly.
+// Solver hot-path benchmarks: the enumeration kernel alone. Compile
+// happens once outside the loop and only enumeration is measured. The
+// closure-based reference enumerator's twins of the SolveColumnar
+// benchmarks live with it in internal/core (refparity_test.go).
 
 func compiledFor(b *testing.B, def *model.Definition) *core.Compiled {
 	b.Helper()
@@ -126,18 +113,12 @@ func benchForEach(b *testing.B, def *model.Definition) {
 	}
 }
 
-func benchSolveColumnar(b *testing.B, def *model.Definition, ref bool) {
+func benchSolveColumnar(b *testing.B, def *model.Definition) {
 	c := compiledFor(b, def)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var col *core.Columnar
-		if ref {
-			col, _, _ = c.SolveColumnarRef(nil)
-		} else {
-			col = c.SolveColumnar()
-		}
-		if col.NumSolutions() == 0 {
+		if c.SolveColumnar().NumSolutions() == 0 {
 			b.Fatal("empty space")
 		}
 	}
@@ -167,15 +148,5 @@ func BenchmarkSolveColumnarSuite(b *testing.B) {
 func BenchmarkForEachHotspot(b *testing.B) { benchForEach(b, workloads.Hotspot()) }
 func BenchmarkForEachGEMM(b *testing.B)    { benchForEach(b, workloads.GEMM()) }
 
-func BenchmarkSolveColumnarHotspot(b *testing.B) {
-	benchSolveColumnar(b, workloads.Hotspot(), false)
-}
-func BenchmarkSolveColumnarGEMM(b *testing.B) {
-	benchSolveColumnar(b, workloads.GEMM(), false)
-}
-func BenchmarkSolveColumnarRefHotspot(b *testing.B) {
-	benchSolveColumnar(b, workloads.Hotspot(), true)
-}
-func BenchmarkSolveColumnarRefGEMM(b *testing.B) {
-	benchSolveColumnar(b, workloads.GEMM(), true)
-}
+func BenchmarkSolveColumnarHotspot(b *testing.B) { benchSolveColumnar(b, workloads.Hotspot()) }
+func BenchmarkSolveColumnarGEMM(b *testing.B)    { benchSolveColumnar(b, workloads.GEMM()) }

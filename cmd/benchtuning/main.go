@@ -4,10 +4,10 @@
 // sampling (10 repeats) so the construction method is the only variable.
 //
 // Construction times are measured for real; kernel execution is simulated
-// by a deterministic performance model (no GPU in this environment — see
-// DESIGN.md). The budget defaults to a laptop-scale 10 seconds for
-// hotspot; GEMM's budget is scaled by the valid-configuration ratio, as
-// in the paper (§5.4).
+// by a deterministic performance model (internal/tuner/kernels.go)
+// rather than on a GPU. The budget defaults to a laptop-scale 10
+// seconds for hotspot; GEMM's budget is scaled by the
+// valid-configuration ratio, as in the paper (§5.4).
 package main
 
 import (

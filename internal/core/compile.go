@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"searchspace/internal/expr"
 	"searchspace/internal/value"
@@ -64,8 +63,8 @@ func (c *Compiled) newState() *state {
 // Compiled is a problem prepared for solving: domains pruned by the
 // preprocessing passes, variables ordered, and per-depth instruction
 // tables built (§4.3). The retained runtime constraints and options
-// back the closure-based reference enumerator (ref.go) that the parity
-// suites compare against.
+// back the closure-based reference enumerator (ref_test.go) that the
+// parity suites compare against.
 type Compiled struct {
 	names []string
 	order []int // position (depth) -> variable index
@@ -93,10 +92,6 @@ type Compiled struct {
 	maxArgs int
 	cons    []*constraint
 	opt     Options
-	// Memoized closure form of the checks for the reference enumerator
-	// (ref.go); never touched on the kernel's hot path.
-	refOnce sync.Once
-	ref     *refChecks
 }
 
 // Options tunes which optimizations Compile applies, so the evaluation can
@@ -326,82 +321,6 @@ func (c *Compiled) buildPartialInstrs(partials [][]instr, con *constraint, doms 
 			return
 		}
 		c.buildSumPartials(partials, con, doms)
-	case conExactSum:
-		numeric, _ := domainsNumeric(doms, con.vars)
-		if !numeric {
-			return
-		}
-		c.buildExactSumPartials(partials, con, doms)
-	case conAllDiff:
-		c.buildAllDiffPartials(partials, con)
-	case conAllEqual:
-		c.buildAllEqualPartials(partials, con)
-	}
-}
-
-// buildExactSumPartials registers the two-sided feasibility check: the
-// partial sum plus the minimum (maximum) achievable completion must not
-// already exceed (fall short of) the target.
-func (c *Compiled) buildExactSumPartials(partials [][]instr, con *constraint, doms [][]entry) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	minC := make([]float64, len(depths))
-	maxC := make([]float64, len(depths))
-	accMin, accMax := 0.0, 0.0
-	for i := len(depths) - 1; i >= 0; i-- {
-		minC[i], maxC[i] = accMin, accMax
-		for _, k := range occs[i] {
-			mn, mx := domainMinMax(doms[con.argIdx[k]])
-			accMin += mn
-			accMax += mx
-		}
-	}
-	for i := 0; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		partials[depths[i]] = append(partials[depths[i]], instr{
-			op: opSumFeas, vars: prefix, bound: con.bound, base: minC[i], hi: maxC[i],
-		})
-	}
-}
-
-// buildAllDiffPartials rejects as soon as two assigned variables collide.
-func (c *Compiled) buildAllDiffPartials(partials [][]instr, con *constraint) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	for i := 1; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		partials[depths[i]] = append(partials[depths[i]], instr{op: opAllDiff, vars: prefix})
-	}
-}
-
-// buildAllEqualPartials rejects as soon as two assigned variables differ.
-func (c *Compiled) buildAllEqualPartials(partials [][]instr, con *constraint) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	for i := 1; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		partials[depths[i]] = append(partials[depths[i]], instr{op: opAllEqual, vars: prefix})
 	}
 }
 
@@ -541,66 +460,8 @@ func pruneConstraint(con *constraint, doms [][]entry) bool {
 		return pruneVarCmp(con, doms)
 	case conDivides:
 		return pruneDivides(con, doms)
-	case conAllEqual:
-		return pruneAllEqual(con, doms)
-	case conExactSum:
-		return pruneExactSum(con, doms)
 	}
 	return false
-}
-
-// pruneAllEqual keeps only values present in every involved domain.
-func pruneAllEqual(con *constraint, doms [][]entry) bool {
-	counts := make(map[string]int)
-	for _, vi := range con.vars {
-		seen := make(map[string]struct{})
-		for _, e := range doms[vi] {
-			if _, dup := seen[e.val.Key()]; !dup {
-				seen[e.val.Key()] = struct{}{}
-				counts[e.val.Key()]++
-			}
-		}
-	}
-	changed := false
-	for _, vi := range con.vars {
-		before := len(doms[vi])
-		doms[vi] = filterEntries(doms[vi], func(e entry) bool {
-			return counts[e.val.Key()] == len(con.vars)
-		})
-		changed = changed || len(doms[vi]) != before
-	}
-	return changed
-}
-
-// pruneExactSum removes values that cannot be completed to the exact
-// target by any choice of the remaining variables.
-func pruneExactSum(con *constraint, doms [][]entry) bool {
-	numeric, _ := domainsNumeric(doms, con.vars)
-	if !numeric {
-		return false
-	}
-	changed := false
-	for _, vi := range con.vars {
-		othersMin, othersMax := 0.0, 0.0
-		for _, ui := range con.vars {
-			if ui == vi {
-				continue
-			}
-			mn, mx := domainMinMax(doms[ui])
-			othersMin += mn
-			othersMax += mx
-		}
-		before := len(doms[vi])
-		target := con.bound
-		doms[vi] = filterEntries(doms[vi], func(e entry) bool {
-			return e.num+othersMin <= target && e.num+othersMax >= target
-		})
-		changed = changed || len(doms[vi]) != before
-		if len(doms[vi]) == 0 {
-			return true
-		}
-	}
-	return changed
 }
 
 // exponents returns the multiplicity of each distinct variable in a

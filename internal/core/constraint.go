@@ -22,16 +22,12 @@ const (
 	conVarCmp
 	conDivides
 	conGoFunc
-	conAllDiff
-	conAllEqual
-	conExactSum
 )
 
 var conKindNames = map[conKind]string{
 	conFunc: "function", conUnary: "unary", conMaxProd: "max-product",
 	conMinProd: "min-product", conMaxSum: "max-sum", conMinSum: "min-sum",
 	conVarCmp: "var-compare", conDivides: "divides", conGoFunc: "go-func",
-	conAllDiff: "all-different", conAllEqual: "all-equal", conExactSum: "exact-sum",
 }
 
 func (k conKind) String() string { return conKindNames[k] }
@@ -145,121 +141,4 @@ func (p *Problem) specToConstraint(s expr.Spec) (c *constraint, unsat bool, err 
 		}, false, nil
 	}
 	return nil, false, fmt.Errorf("core: unhandled spec kind %v", s.Kind)
-}
-
-// satisfiedFull evaluates the constraint with every involved variable
-// assigned. vals and nums are indexed by problem variable index; nums[i]
-// is NaN when vals[i] is not numeric, which makes all numeric fast paths
-// reject non-numeric assignments (mirroring Python raising a TypeError,
-// which invalidates the configuration).
-func (c *constraint) satisfiedFull(vals []value.Value, nums []float64, scratch []value.Value) bool {
-	switch c.kind {
-	case conMaxProd:
-		prod := 1.0
-		for _, vi := range c.argIdx {
-			prod *= nums[vi]
-		}
-		if c.strict {
-			return prod < c.bound
-		}
-		return prod <= c.bound
-
-	case conMinProd:
-		prod := 1.0
-		for _, vi := range c.argIdx {
-			prod *= nums[vi]
-		}
-		if c.strict {
-			return prod > c.bound
-		}
-		return prod >= c.bound
-
-	case conMaxSum:
-		sum := 0.0
-		for i, vi := range c.argIdx {
-			sum += c.coeffs[i] * nums[vi]
-		}
-		if c.strict {
-			return sum < c.bound
-		}
-		return sum <= c.bound
-
-	case conMinSum:
-		sum := 0.0
-		for i, vi := range c.argIdx {
-			sum += c.coeffs[i] * nums[vi]
-		}
-		if c.strict {
-			return sum > c.bound
-		}
-		return sum >= c.bound
-
-	case conVarCmp:
-		a, b := vals[c.argIdx[0]], vals[c.argIdx[1]]
-		switch c.cmpOp {
-		case expr.OpEq:
-			return value.Equal(a, b)
-		case expr.OpNe:
-			return !value.Equal(a, b)
-		}
-		cmp, err := value.Compare(a, b)
-		if err != nil {
-			return false
-		}
-		switch c.cmpOp {
-		case expr.OpLt:
-			return cmp < 0
-		case expr.OpLe:
-			return cmp <= 0
-		case expr.OpGt:
-			return cmp > 0
-		case expr.OpGe:
-			return cmp >= 0
-		}
-		return false
-
-	case conDivides:
-		rem, err := value.Mod(vals[c.argIdx[0]], vals[c.argIdx[1]])
-		if err != nil {
-			return false
-		}
-		return rem.Float() == 0
-
-	case conAllDiff:
-		for i := 0; i < len(c.argIdx); i++ {
-			for j := i + 1; j < len(c.argIdx); j++ {
-				if value.Equal(vals[c.argIdx[i]], vals[c.argIdx[j]]) {
-					return false
-				}
-			}
-		}
-		return true
-
-	case conAllEqual:
-		first := vals[c.argIdx[0]]
-		for _, vi := range c.argIdx[1:] {
-			if !value.Equal(first, vals[vi]) {
-				return false
-			}
-		}
-		return true
-
-	case conExactSum:
-		sum := 0.0
-		for _, vi := range c.argIdx {
-			sum += nums[vi]
-		}
-		return sum == c.bound
-
-	case conFunc, conUnary:
-		ok, err := c.pred(vals)
-		return err == nil && ok
-
-	case conGoFunc:
-		for i, vi := range c.argIdx {
-			scratch[i] = vals[vi]
-		}
-		return c.goFn(scratch[:len(c.argIdx)])
-	}
-	return false
 }

@@ -49,6 +49,21 @@ func buildProblem(t *testing.T, vars []varDef, constraints []string) *Problem {
 	return p
 }
 
+// solveTuples compiles p with opt and enumerates it through the plain
+// walk (ForEach), returning each row as values in definition order.
+func solveTuples(p *Problem, opt Options) [][]value.Value {
+	var out [][]value.Value
+	p.Compile(opt).ForEach(func(idx []int32) bool {
+		row := make([]value.Value, len(idx))
+		for vi, di := range idx {
+			row[vi] = p.domains[vi][di]
+		}
+		out = append(out, row)
+		return true
+	})
+	return out
+}
+
 // bruteRef enumerates the Cartesian product and evaluates the raw
 // constraint expressions with the tree-walking interpreter: an
 // implementation completely independent of the solver under test.
@@ -143,7 +158,7 @@ func TestPaperListing3(t *testing.T) {
 	vars := paperVars()
 	cons := []string{"32 <= block_size_x * block_size_y <= 1024"}
 	p := buildProblem(t, vars, cons)
-	got := p.SolveTuples()
+	got := solveTuples(p, DefaultOptions())
 	want := bruteRef(t, vars, cons)
 	assertSameSolutions(t, got, want, "listing3")
 	if len(got) == 0 {
@@ -177,42 +192,29 @@ func TestOptionAblations(t *testing.T) {
 			PartialChecks: mask&4 != 0,
 		}
 		p := buildProblem(t, vars, cons)
-		got := p.solveTuples(p.Compile(opt))
+		got := solveTuples(p, opt)
 		assertSameSolutions(t, got, want, fmt.Sprintf("options %+v", opt))
 	}
 }
 
+// TestSpecificConstraintBuilders checks that the language lowers
+// products and sums compared against a constant into the specific
+// kinds §4.3.2 preprocesses, and that they enumerate the brute-force
+// rows.
 func TestSpecificConstraintBuilders(t *testing.T) {
-	p := NewProblem()
-	for _, v := range []varDef{{"x", rangeInts(1, 8)}, {"y", rangeInts(1, 8)}} {
-		if err := p.AddVariable(v.name, v.dom); err != nil {
-			t.Fatal(err)
+	vars := []varDef{{"x", rangeInts(1, 8)}, {"y", rangeInts(1, 8)}}
+	cons := []string{"x * y >= 8", "x * y <= 32", "x + y >= 4", "x + y <= 12"}
+	p := buildProblem(t, vars, cons)
+	want := []conKind{conMinProd, conMaxProd, conMinSum, conMaxSum}
+	if len(p.cons) != len(want) {
+		t.Fatalf("%d constraints, want %d", len(p.cons), len(want))
+	}
+	for i, con := range p.cons {
+		if con.kind != want[i] {
+			t.Errorf("%q compiled to %v, want %v", cons[i], con.kind, want[i])
 		}
 	}
-	if err := p.MinProduct(8, []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.MaxProduct(32, []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.MinSum(4, []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.MaxSum(12, []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	got := p.SolveTuples()
-	count := 0
-	for x := 1; x <= 8; x++ {
-		for y := 1; y <= 8; y++ {
-			if x*y >= 8 && x*y <= 32 && x+y >= 4 && x+y <= 12 {
-				count++
-			}
-		}
-	}
-	if len(got) != count {
-		t.Fatalf("got %d solutions, want %d", len(got), count)
-	}
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "specific kinds")
 }
 
 func TestGoFuncConstraint(t *testing.T) {
@@ -229,7 +231,7 @@ func TestGoFuncConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.SolveTuples()
+	got := solveTuples(p, DefaultOptions())
 	if len(got) != 9 {
 		t.Fatalf("x+y==10 over 1..10²: got %d solutions, want 9", len(got))
 	}
@@ -243,13 +245,13 @@ func TestGoFuncConstraint(t *testing.T) {
 
 func TestUnsatisfiableAndEmpty(t *testing.T) {
 	p := buildProblem(t, []varDef{{"a", ints(1, 2)}}, []string{"1 > 2"})
-	if got := p.SolveTuples(); len(got) != 0 {
+	if got := solveTuples(p, DefaultOptions()); len(got) != 0 {
 		t.Fatalf("unsat problem returned %d solutions", len(got))
 	}
 	// Unary constraint that empties a domain.
 	p = buildProblem(t, []varDef{{"a", ints(1, 2, 3)}, {"b", ints(1, 2)}},
 		[]string{"a > 100", "a * b <= 6"})
-	if got := p.SolveTuples(); len(got) != 0 {
+	if got := solveTuples(p, DefaultOptions()); len(got) != 0 {
 		t.Fatalf("emptied domain returned %d solutions", len(got))
 	}
 	if c := NewProblem().Compile(DefaultOptions()); c.Count() != 0 {
@@ -277,12 +279,6 @@ func TestProblemValidation(t *testing.T) {
 	if err := p.AddConstraintString("zzz > 1"); err == nil {
 		t.Error("unknown variable should surface at add time")
 	}
-	if err := p.MaxProduct(10, []string{"nope"}); err == nil {
-		t.Error("unknown variable in MaxProduct should fail")
-	}
-	if err := p.MaxProduct(10, nil); err == nil {
-		t.Error("empty MaxProduct should fail")
-	}
 }
 
 func TestDividesConstraint(t *testing.T) {
@@ -292,7 +288,7 @@ func TestDividesConstraint(t *testing.T) {
 	}
 	cons := []string{"n % d == 0"}
 	p := buildProblem(t, vars, cons)
-	got := p.SolveTuples()
+	got := solveTuples(p, DefaultOptions())
 	want := bruteRef(t, vars, cons)
 	assertSameSolutions(t, got, want, "divides")
 }
@@ -302,7 +298,7 @@ func TestVarCmpConstraints(t *testing.T) {
 		vars := []varDef{{"a", rangeInts(1, 6)}, {"b", ints(2, 4, 6)}}
 		cons := []string{"a " + op + " b"}
 		p := buildProblem(t, vars, cons)
-		assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), op)
+		assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), op)
 	}
 }
 
@@ -313,7 +309,7 @@ func TestStringDomains(t *testing.T) {
 	}
 	cons := []string{`layout == "row" or size <= 32`}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "strings")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "strings")
 }
 
 func TestBoolDomains(t *testing.T) {
@@ -324,7 +320,7 @@ func TestBoolDomains(t *testing.T) {
 	}
 	cons := []string{"bx * tx * sh_power * 4 <= 128"}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "bool product")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "bool product")
 }
 
 func TestFirstAndCount(t *testing.T) {
@@ -344,26 +340,18 @@ func TestFirstAndCount(t *testing.T) {
 	}
 }
 
-func TestSolveMapsFormat(t *testing.T) {
-	vars := []varDef{{"a", ints(1, 2)}, {"b", ints(3)}}
-	p := buildProblem(t, vars, nil)
-	maps := p.SolveMaps()
-	if len(maps) != 2 {
-		t.Fatalf("got %d maps, want 2", len(maps))
-	}
-	for _, m := range maps {
-		if m["b"].Int() != 3 {
-			t.Errorf("map missing b=3: %v", m)
-		}
-	}
-}
-
 func TestColumnarRoundTrip(t *testing.T) {
 	vars := []varDef{{"a", ints(1, 2, 3)}, {"b", ints(4, 5)}}
 	cons := []string{"a + b != 7"}
 	p := buildProblem(t, vars, cons)
 	col := p.Compile(DefaultOptions()).SolveColumnar()
-	rows := p.TuplesOf(col)
+	rows := make([][]value.Value, col.NumSolutions())
+	for r := range rows {
+		rows[r] = make([]value.Value, len(col.Cols))
+		for vi, c := range col.Cols {
+			rows[r][vi] = p.domains[vi][c[r]]
+		}
+	}
 	assertSameSolutions(t, rows, bruteRef(t, vars, cons), "columnar")
 	if col.NumSolutions() != len(rows) {
 		t.Errorf("NumSolutions = %d, want %d", col.NumSolutions(), len(rows))
@@ -377,7 +365,7 @@ func TestRepeatedVariableProduct(t *testing.T) {
 	vars := []varDef{{"a", rangeInts(1, 10)}, {"b", rangeInts(1, 10)}}
 	cons := []string{"a * a * b <= 50"}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "a*a*b")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "a*a*b")
 }
 
 func TestNegativeDomainsProduct(t *testing.T) {
@@ -386,7 +374,7 @@ func TestNegativeDomainsProduct(t *testing.T) {
 	vars := []varDef{{"a", rangeInts(-5, 5)}, {"b", rangeInts(-5, 5)}}
 	cons := []string{"a * b >= 6"}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "negative product")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "negative product")
 }
 
 func TestFloatDomains(t *testing.T) {
@@ -396,7 +384,7 @@ func TestFloatDomains(t *testing.T) {
 	}
 	cons := []string{"scale * n >= 1 and scale * n <= 4"}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "floats")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "floats")
 }
 
 func TestMembershipAndChains(t *testing.T) {
@@ -406,14 +394,14 @@ func TestMembershipAndChains(t *testing.T) {
 		"2 <= b <= 8 <= a * b <= 64",
 	}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "chain+membership")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "chain+membership")
 }
 
 func TestDivisionByZeroInvalidates(t *testing.T) {
 	vars := []varDef{{"a", ints(4, 8)}, {"b", ints(0, 2, 4)}}
 	cons := []string{"a // b >= 2 or b == 0 and a == 100"}
 	p := buildProblem(t, vars, cons)
-	assertSameSolutions(t, p.SolveTuples(), bruteRef(t, vars, cons), "div0")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "div0")
 }
 
 // TestRandomProblems cross-validates the optimized solver against the
@@ -460,7 +448,7 @@ func TestRandomProblems(t *testing.T) {
 			cons[i] = fmt.Sprintf(tmpl, args...)
 		}
 		p := buildProblem(t, vars, cons)
-		got := p.SolveTuples()
+		got := solveTuples(p, DefaultOptions())
 		want := bruteRef(t, vars, cons)
 		assertSameSolutions(t, got, want, fmt.Sprintf("random trial %d: %v", trial, cons))
 	}
@@ -477,7 +465,7 @@ func TestDomainAccessors(t *testing.T) {
 	if names := p.Names(); len(names) != 1 || names[0] != "a" {
 		t.Errorf("Names = %v", names)
 	}
-	if p.NumVariables() != 1 || p.NumConstraints() != 0 {
-		t.Errorf("counts = %d vars %d cons", p.NumVariables(), p.NumConstraints())
+	if p.NumConstraints() != 0 {
+		t.Errorf("NumConstraints = %d, want 0", p.NumConstraints())
 	}
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"searchspace/internal/value"
 )
 
 // TestExecSplitsPastUnitFirstDomain pins the regression the old
@@ -213,4 +217,144 @@ func TestExecStatsSingleWorkerOnly(t *testing.T) {
 			assertSameColumnar(t, seq, par)
 		}
 	}
+}
+
+func TestParallelMatchesSequential(t *testing.T) {
+	vars := []varDef{
+		{"a", rangeInts(1, 15)},
+		{"b", rangeInts(1, 12)},
+		{"c", ints(1, 2, 4, 8)},
+		{"d", rangeInts(0, 6)},
+	}
+	cons := []string{
+		"a * b <= 60",
+		"a % c == 0",
+		"d < b",
+		"a + b + d >= 6",
+	}
+	p := buildProblem(t, vars, cons)
+	compiled := p.Compile(DefaultOptions())
+	seq := compiled.SolveColumnar()
+	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
+		par := solveParallel(compiled, workers)
+		if par.NumSolutions() != seq.NumSolutions() {
+			t.Fatalf("workers=%d: %d solutions, want %d", workers, par.NumSolutions(), seq.NumSolutions())
+		}
+		for vi := range seq.Cols {
+			for r := range seq.Cols[vi] {
+				if par.Cols[vi][r] != seq.Cols[vi][r] {
+					t.Fatalf("workers=%d: row %d differs (order must be identical)", workers, r)
+				}
+			}
+		}
+	}
+}
+
+func TestParallelEdgeCases(t *testing.T) {
+	// Empty problem.
+	empty := NewProblem().Compile(DefaultOptions())
+	if got := solveParallel(empty, 4); got.NumSolutions() != 0 {
+		t.Error("empty problem should have no solutions")
+	}
+	// Single variable.
+	p := NewProblem()
+	if err := p.AddVariable("a", ints(1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddConstraintString("a != 2"); err != nil {
+		t.Fatal(err)
+	}
+	got := solveParallel(p.Compile(DefaultOptions()), 4)
+	if got.NumSolutions() != 2 {
+		t.Fatalf("single-var parallel: %d solutions, want 2", got.NumSolutions())
+	}
+	// Unsatisfiable.
+	p2 := NewProblem()
+	if err := p2.AddVariable("a", ints(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.AddVariable("b", ints(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.AddConstraintString("a + b > 100"); err != nil {
+		t.Fatal(err)
+	}
+	if got := solveParallel(p2.Compile(DefaultOptions()), 2); got.NumSolutions() != 0 {
+		t.Error("unsat parallel should be empty")
+	}
+}
+
+func TestParallelRandomProblems(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	for trial := 0; trial < 20; trial++ {
+		nvars := 2 + rng.Intn(3)
+		vars := make([]varDef, nvars)
+		names := make([]string, nvars)
+		for i := range vars {
+			names[i] = fmt.Sprintf("v%d", i)
+			size := 2 + rng.Intn(7)
+			dom := make([]value.Value, size)
+			for k := range dom {
+				dom[k] = value.OfInt(int64(rng.Intn(10) + 1))
+			}
+			vars[i] = varDef{names[i], dom}
+		}
+		cons := []string{fmt.Sprintf("%s * %s <= %d",
+			names[rng.Intn(nvars)], names[rng.Intn(nvars)], 20+rng.Intn(40))}
+		p := buildProblem(t, vars, cons)
+		compiled := p.Compile(DefaultOptions())
+		seq := compiled.SolveColumnar()
+		par := solveParallel(compiled, 4)
+		if seq.NumSolutions() != par.NumSolutions() {
+			t.Fatalf("trial %d: parallel %d vs sequential %d", trial, par.NumSolutions(), seq.NumSolutions())
+		}
+	}
+}
+
+func BenchmarkSolveSequential(b *testing.B) {
+	p := benchProblem(b)
+	compiled := p.Compile(DefaultOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if compiled.SolveColumnar().NumSolutions() == 0 {
+			b.Fatal("empty")
+		}
+	}
+}
+
+func BenchmarkSolveParallel(b *testing.B) {
+	p := benchProblem(b)
+	compiled := p.Compile(DefaultOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if solveParallel(compiled, 0).NumSolutions() == 0 {
+			b.Fatal("empty")
+		}
+	}
+}
+
+func benchProblem(b *testing.B) *Problem {
+	b.Helper()
+	p := NewProblem()
+	mustAdd := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	mustAdd(p.AddVariable("a", rangeInts(1, 40)))
+	mustAdd(p.AddVariable("bb", rangeInts(1, 40)))
+	mustAdd(p.AddVariable("c", rangeInts(1, 20)))
+	mustAdd(p.AddVariable("d", rangeInts(1, 10)))
+	mustAdd(p.AddConstraintString("a * bb <= 800"))
+	mustAdd(p.AddConstraintString("a % c == 0"))
+	mustAdd(p.AddConstraintString("c + d <= 25"))
+	return p
+}
+
+// solveParallel is SolveColumnarExec with only a worker count.
+func solveParallel(c *Compiled, workers int) *Columnar {
+	col, _, _ := c.SolveColumnarExec(Exec{Workers: workers})
+	return col
 }

@@ -67,11 +67,6 @@ const (
 	// compare against bound.
 	opSumMax
 	opSumMin
-	// opSumEq: the exact-sum full check, sum(nums[v]) == bound.
-	opSumEq
-	// opSumFeas: the exact-sum partial check, sum+lo <= bound <= sum+hi
-	// where lo/hi bound the best completion of the remaining operands.
-	opSumFeas
 	// opVarCmp: two-variable comparison via cmpOp on the value views.
 	opVarCmp
 	// opDividesInt: vars[0] % vars[1] == 0 on the exact integer views
@@ -79,10 +74,6 @@ const (
 	opDividesInt
 	// opDividesVal: the generic divisibility check through value.Mod.
 	opDividesVal
-	// opAllDiff / opAllEqual: pairwise distinctness / equality over the
-	// value views.
-	opAllDiff
-	opAllEqual
 	// opNumCmp: a (possibly chained) comparison over integer-domain
 	// arithmetic, lowered to an RPN program evaluated in float64. Only
 	// chosen when compile-time interval bounds prove every intermediate
@@ -140,8 +131,7 @@ type instr struct {
 	strict bool
 	cmpOp  expr.Op
 	bound  float64
-	hi     float64 // opSumFeas: upper completion bound (lo lives in base)
-	base   float64 // accumulator seed: completion term, 1 for products, lo for opSumFeas
+	base   float64 // accumulator seed: completion term, 1 for products
 	vars   []int   // problem variable indices read by the instruction (every op)
 	coeffs []float64
 	num    []numInstr // opNumCmp: RPN program leaving the chain operands on the stack
@@ -211,24 +201,6 @@ func runProg(prog []instr, st *state) bool {
 				return false
 			}
 
-		case opSumEq:
-			sum := 0.0
-			for _, vi := range ins.vars {
-				sum += st.nums[vi]
-			}
-			if !(sum == ins.bound) {
-				return false
-			}
-
-		case opSumFeas:
-			sum := 0.0
-			for _, vi := range ins.vars {
-				sum += st.nums[vi]
-			}
-			if !(sum+ins.base <= ins.bound && sum+ins.hi >= ins.bound) {
-				return false
-			}
-
 		case opVarCmp:
 			a, b := st.vals[ins.vars[0]], st.vals[ins.vars[1]]
 			switch ins.cmpOp {
@@ -277,23 +249,6 @@ func runProg(prog []instr, st *state) bool {
 			rem, err := value.Mod(st.vals[ins.vars[0]], st.vals[ins.vars[1]])
 			if err != nil || rem.Float() != 0 {
 				return false
-			}
-
-		case opAllDiff:
-			for a := 0; a < len(ins.vars); a++ {
-				for b := a + 1; b < len(ins.vars); b++ {
-					if value.Equal(st.vals[ins.vars[a]], st.vals[ins.vars[b]]) {
-						return false
-					}
-				}
-			}
-
-		case opAllEqual:
-			first := st.vals[ins.vars[0]]
-			for _, vi := range ins.vars[1:] {
-				if !value.Equal(first, st.vals[vi]) {
-					return false
-				}
 			}
 
 		case opNumCmp:
@@ -502,11 +457,11 @@ func tryNumCmp(node expr.Node, nameIdx map[string]int, doms [][]entry) (instr, b
 	return instr{op: opNumCmp, num: code, cmpOps: cmp.Ops}, true
 }
 
-// fullInstr lowers one constraint's fully-assigned check (the retired
-// satisfiedFull closure) into a typed instruction. doms (by variable
-// index) decide whether divisibility can use the exact integer views
-// and whether generic comparisons can run on the numeric fast path;
-// nameIdx resolves AST names for the numeric compiler.
+// fullInstr lowers one constraint's fully-assigned check into a typed
+// instruction. doms (by variable index) decide whether divisibility can
+// use the exact integer views and whether generic comparisons can run
+// on the numeric fast path; nameIdx resolves AST names for the numeric
+// compiler.
 func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 	switch con.kind {
 	case conMaxProd:
@@ -517,8 +472,6 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 		return instr{op: opSumMax, vars: con.argIdx, coeffs: con.coeffs, bound: con.bound, strict: con.strict}
 	case conMinSum:
 		return instr{op: opSumMin, vars: con.argIdx, coeffs: con.coeffs, bound: con.bound, strict: con.strict}
-	case conExactSum:
-		return instr{op: opSumEq, vars: con.argIdx, bound: con.bound}
 	case conVarCmp:
 		return instr{op: opVarCmp, vars: con.argIdx, cmpOp: con.cmpOp}
 	case conDivides:
@@ -534,10 +487,6 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 			return instr{op: opDividesInt, vars: con.argIdx}
 		}
 		return instr{op: opDividesVal, vars: con.argIdx}
-	case conAllDiff:
-		return instr{op: opAllDiff, vars: con.argIdx}
-	case conAllEqual:
-		return instr{op: opAllEqual, vars: con.argIdx}
 	case conFunc:
 		if ins, ok := tryNumCmp(con.node, nameIdx, doms); ok {
 			ins.vars = con.vars
@@ -562,8 +511,8 @@ func fullInstr(con *constraint, doms [][]entry, nameIdx map[string]int) instr {
 // emitted without per-node visits. A product block over the trailing
 // constrained depths is charged what the per-node walk would have
 // charged: at each depth one node per list entry plus the pop, and one
-// block per row of the lists' product. Survivor tables and
-// cut-offs skip values outright, so Nodes is below what
+// block per row of the lists' product. Survivor tables and cut-offs
+// skip values outright, so Nodes is below what the test reference
 // SolveColumnarRef counts for the same space: that count is the plain
 // walk's, not a like-for-like baseline. On the component-product path
 // (product.go), Nodes sums the component walks' nodes, Blocks counts the

@@ -104,43 +104,19 @@ func TestKernelMatchesReferenceAblations(t *testing.T) {
 	}
 }
 
-// TestKernelExtraConstraints covers the instruction shapes the random
-// expression pool cannot produce: AllDifferent, AllEqual, ExactSum, and
-// the Go-func escape hatch.
+// TestKernelExtraConstraints covers the instruction shape the random
+// expression pool cannot produce: the Go-func escape hatch.
 func TestKernelExtraConstraints(t *testing.T) {
-	mk := func() *Problem {
-		p := NewProblem()
-		for _, v := range []varDef{
-			{"w", rangeInts(1, 6)}, {"x", rangeInts(1, 6)},
-			{"y", rangeInts(1, 6)}, {"z", rangeInts(1, 6)},
-			{"free", ints(0, 1, 2)},
-		} {
-			if err := p.AddVariable(v.name, v.dom); err != nil {
-				t.Fatal(err)
-			}
+	p := NewProblem()
+	for _, v := range []varDef{
+		{"w", rangeInts(1, 6)}, {"x", rangeInts(1, 6)},
+		{"y", rangeInts(1, 6)}, {"z", rangeInts(1, 6)},
+		{"free", ints(0, 1, 2)},
+	} {
+		if err := p.AddVariable(v.name, v.dom); err != nil {
+			t.Fatal(err)
 		}
-		return p
 	}
-
-	p := mk()
-	if err := p.AllDifferent([]string{"w", "x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	assertColumnarEqualRef(t, p.Compile(DefaultOptions()), "alldiff")
-
-	p = mk()
-	if err := p.AllEqual([]string{"x", "y", "z"}); err != nil {
-		t.Fatal(err)
-	}
-	assertColumnarEqualRef(t, p.Compile(DefaultOptions()), "allequal")
-
-	p = mk()
-	if err := p.ExactSum(9, []string{"w", "x", "y", "z"}); err != nil {
-		t.Fatal(err)
-	}
-	assertColumnarEqualRef(t, p.Compile(DefaultOptions()), "exactsum")
-
-	p = mk()
 	if err := p.AddGoFunc([]string{"w", "z"}, func(vals []value.Value) bool {
 		return (vals[0].Int()+vals[1].Int())%3 != 0
 	}); err != nil {
@@ -509,7 +485,7 @@ func TestNumCmpModByZeroNe(t *testing.T) {
 		}
 		assertColumnarEqualRef(t, c, con)
 		// Independent ground truth, not just the closure reference.
-		got := p.solveTuples(c)
+		got := solveTuples(p, DefaultOptions())
 		want := bruteRef(t, vars, []string{con})
 		assertSameSolutions(t, got, want, con)
 	}
@@ -530,7 +506,7 @@ func TestNumCmpChainedAndNegatives(t *testing.T) {
 		t.Fatal("expected opNumCmp instructions")
 	}
 	assertColumnarEqualRef(t, c, "chained")
-	assertSameSolutions(t, p.solveTuples(c), bruteRef(t, vars, cons), "chained ground truth")
+	assertSameSolutions(t, solveTuples(p, DefaultOptions()), bruteRef(t, vars, cons), "chained ground truth")
 }
 
 // TestNumCmpFallbacks pins the eligibility fence: shapes where float64

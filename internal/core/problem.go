@@ -32,9 +32,6 @@ func NewProblem() *Problem {
 	return &Problem{nameIdx: make(map[string]int)}
 }
 
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.names) }
-
 // NumConstraints returns the number of registered runtime constraints.
 // Unary constraints folded into domains at add time still count, as they
 // do in the paper's workload characterizations.
@@ -137,56 +134,12 @@ func (p *Problem) AddGoFunc(vars []string, fn func(vals []value.Value) bool) err
 	return nil
 }
 
-// MaxProduct registers product(vars) <= bound directly (the built-in
-// specific constraint of §4.3.2, exposed for programmatic use).
-func (p *Problem) MaxProduct(bound float64, vars []string) error {
-	return p.addProdSum(conMaxProd, bound, vars, nil)
-}
-
-// MinProduct registers product(vars) >= bound.
-func (p *Problem) MinProduct(bound float64, vars []string) error {
-	return p.addProdSum(conMinProd, bound, vars, nil)
-}
-
-// MaxSum registers sum(vars) <= bound.
-func (p *Problem) MaxSum(bound float64, vars []string) error {
-	return p.addProdSum(conMaxSum, bound, vars, defaultCoeffs(len(vars)))
-}
-
-// MinSum registers sum(vars) >= bound.
-func (p *Problem) MinSum(bound float64, vars []string) error {
-	return p.addProdSum(conMinSum, bound, vars, defaultCoeffs(len(vars)))
-}
-
 func defaultCoeffs(n int) []float64 {
 	c := make([]float64, n)
 	for i := range c {
 		c[i] = 1
 	}
 	return c
-}
-
-func (p *Problem) addProdSum(kind conKind, bound float64, vars []string, coeffs []float64) error {
-	if len(vars) < 1 {
-		return fmt.Errorf("core: specific constraint needs variables")
-	}
-	idx := make([]int, len(vars))
-	for i, name := range vars {
-		vi, ok := p.nameIdx[name]
-		if !ok {
-			return fmt.Errorf("core: unknown variable %q in constraint", name)
-		}
-		idx[i] = vi
-	}
-	p.cons = append(p.cons, &constraint{
-		kind:   kind,
-		vars:   uniqueInts(idx),
-		argIdx: idx,
-		bound:  bound,
-		coeffs: coeffs,
-		label:  fmt.Sprintf("%v(%v, %v)", kind, bound, vars),
-	})
-	return nil
 }
 
 // uniqueInts returns the distinct elements of idx preserving first-seen

@@ -2,15 +2,19 @@ package core
 
 import (
 	"math"
+	"sync"
 
+	"searchspace/internal/expr"
 	"searchspace/internal/value"
 )
 
-// This file preserves the pre-kernel enumeration path verbatim: per-check
-// closures chained per depth, a per-node walk with no tail expansion, and
-// per-row column appends. It exists as the reference the byte-parity
-// suites pin the kernel against, and as the "before" side of
-// BenchmarkKernelVsReferenceSparse. It is not used on any hot path.
+// This file keeps the pre-kernel enumeration path as a test-only
+// reference: per-check closures chained per depth, a per-node walk with
+// no tail expansion, and per-row column appends. The byte-parity suites
+// pin the kernel against it, and it is the "before" side of
+// BenchmarkKernelVsReferenceSparse. Its exported names are visible to
+// the package core_test files (refparity_test.go) in the same test
+// binary, and to no production code.
 
 // checkFn evaluates one registered check against the current partial
 // assignment held in state.
@@ -23,6 +27,9 @@ type refChecks struct {
 	partial [][]checkFn
 }
 
+// refMemo maps each *Compiled to its closure checks.
+var refMemo sync.Map
+
 // buildRefChecks lowers the compiled runtime constraints into the
 // original closure lists, honoring the Options Compile ran with, so the
 // reference enumerator checks exactly what the kernel's instruction
@@ -31,11 +38,14 @@ type refChecks struct {
 // reference enumeration would inflate the "before" side of before/after
 // benchmarks.
 func (c *Compiled) buildRefChecks() *refChecks {
-	c.refOnce.Do(func() { c.ref = c.buildRefChecksLocked() })
-	return c.ref
+	if rc, ok := refMemo.Load(c); ok {
+		return rc.(*refChecks)
+	}
+	rc, _ := refMemo.LoadOrStore(c, c.buildRefChecksUncached())
+	return rc.(*refChecks)
 }
 
-func (c *Compiled) buildRefChecksLocked() *refChecks {
+func (c *Compiled) buildRefChecksUncached() *refChecks {
 	n := len(c.order)
 	rc := &refChecks{
 		full:    make([][]checkFn, n),
@@ -64,6 +74,97 @@ func (c *Compiled) buildRefChecksLocked() *refChecks {
 	return rc
 }
 
+// satisfiedFull evaluates the constraint with every involved variable
+// assigned. vals and nums are indexed by problem variable index; nums[i]
+// is NaN when vals[i] is not numeric, which makes all numeric fast paths
+// reject non-numeric assignments (mirroring Python raising a TypeError,
+// which invalidates the configuration).
+func (c *constraint) satisfiedFull(vals []value.Value, nums []float64, scratch []value.Value) bool {
+	switch c.kind {
+	case conMaxProd:
+		prod := 1.0
+		for _, vi := range c.argIdx {
+			prod *= nums[vi]
+		}
+		if c.strict {
+			return prod < c.bound
+		}
+		return prod <= c.bound
+
+	case conMinProd:
+		prod := 1.0
+		for _, vi := range c.argIdx {
+			prod *= nums[vi]
+		}
+		if c.strict {
+			return prod > c.bound
+		}
+		return prod >= c.bound
+
+	case conMaxSum:
+		sum := 0.0
+		for i, vi := range c.argIdx {
+			sum += c.coeffs[i] * nums[vi]
+		}
+		if c.strict {
+			return sum < c.bound
+		}
+		return sum <= c.bound
+
+	case conMinSum:
+		sum := 0.0
+		for i, vi := range c.argIdx {
+			sum += c.coeffs[i] * nums[vi]
+		}
+		if c.strict {
+			return sum > c.bound
+		}
+		return sum >= c.bound
+
+	case conVarCmp:
+		a, b := vals[c.argIdx[0]], vals[c.argIdx[1]]
+		switch c.cmpOp {
+		case expr.OpEq:
+			return value.Equal(a, b)
+		case expr.OpNe:
+			return !value.Equal(a, b)
+		}
+		cmp, err := value.Compare(a, b)
+		if err != nil {
+			return false
+		}
+		switch c.cmpOp {
+		case expr.OpLt:
+			return cmp < 0
+		case expr.OpLe:
+			return cmp <= 0
+		case expr.OpGt:
+			return cmp > 0
+		case expr.OpGe:
+			return cmp >= 0
+		}
+		return false
+
+	case conDivides:
+		rem, err := value.Mod(vals[c.argIdx[0]], vals[c.argIdx[1]])
+		if err != nil {
+			return false
+		}
+		return rem.Float() == 0
+
+	case conFunc, conUnary:
+		ok, err := c.pred(vals)
+		return err == nil && ok
+
+	case conGoFunc:
+		for i, vi := range c.argIdx {
+			scratch[i] = vals[vi]
+		}
+		return c.goFn(scratch[:len(c.argIdx)])
+	}
+	return false
+}
+
 // buildPartialClosures registers early rejection closures for one
 // specific constraint — the retired closure twins of buildPartialInstrs.
 func (rc *refChecks) buildPartialClosures(c *Compiled, con *constraint, doms [][]entry) {
@@ -80,99 +181,6 @@ func (rc *refChecks) buildPartialClosures(c *Compiled, con *constraint, doms [][
 			return
 		}
 		rc.buildSumClosures(c, con, doms)
-	case conExactSum:
-		numeric, _ := domainsNumeric(doms, con.vars)
-		if !numeric {
-			return
-		}
-		rc.buildExactSumClosures(c, con, doms)
-	case conAllDiff:
-		rc.buildAllDiffClosures(c, con)
-	case conAllEqual:
-		rc.buildAllEqualClosures(c, con)
-	}
-}
-
-func (rc *refChecks) buildExactSumClosures(c *Compiled, con *constraint, doms [][]entry) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	minC := make([]float64, len(depths))
-	maxC := make([]float64, len(depths))
-	accMin, accMax := 0.0, 0.0
-	for i := len(depths) - 1; i >= 0; i-- {
-		minC[i], maxC[i] = accMin, accMax
-		for _, k := range occs[i] {
-			mn, mx := domainMinMax(doms[con.argIdx[k]])
-			accMin += mn
-			accMax += mx
-		}
-	}
-	for i := 0; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		target, lo, hi := con.bound, minC[i], maxC[i]
-		rc.partial[depths[i]] = append(rc.partial[depths[i]], func(st *state) bool {
-			sum := 0.0
-			for _, vi := range prefix {
-				sum += st.nums[vi]
-			}
-			return sum+lo <= target && sum+hi >= target
-		})
-	}
-}
-
-func (rc *refChecks) buildAllDiffClosures(c *Compiled, con *constraint) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	for i := 1; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		rc.partial[depths[i]] = append(rc.partial[depths[i]], func(st *state) bool {
-			for a := 0; a < len(prefix); a++ {
-				for b := a + 1; b < len(prefix); b++ {
-					if value.Equal(st.vals[prefix[a]], st.vals[prefix[b]]) {
-						return false
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func (rc *refChecks) buildAllEqualClosures(c *Compiled, con *constraint) {
-	depths, occs := c.argsByDepth(con)
-	if len(depths) < 2 {
-		return
-	}
-	for i := 1; i < len(depths)-1; i++ {
-		var prefix []int
-		for j := 0; j <= i; j++ {
-			for _, k := range occs[j] {
-				prefix = append(prefix, con.argIdx[k])
-			}
-		}
-		rc.partial[depths[i]] = append(rc.partial[depths[i]], func(st *state) bool {
-			first := st.vals[prefix[0]]
-			for _, vi := range prefix[1:] {
-				if !value.Equal(first, st.vals[vi]) {
-					return false
-				}
-			}
-			return true
-		})
 	}
 }
 

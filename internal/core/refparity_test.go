@@ -127,3 +127,19 @@ func BenchmarkKernelVsReferenceSparse(b *testing.B) {
 	b.ReportMetric(refBest/kerBest, "ref/kernel")
 	b.ReportMetric(0, "ns/op") // the loop runs at least seven reps whatever b.N is
 }
+
+// benchSolveColumnarRef times the reference enumerator on def, the
+// "before" twin of the root package's BenchmarkSolveColumnar{Hotspot,GEMM}.
+func benchSolveColumnarRef(b *testing.B, def *model.Definition) {
+	c := compileWarm(b, def)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if col, _, _ := c.SolveColumnarRef(nil); col.NumSolutions() == 0 {
+			b.Fatal("empty space")
+		}
+	}
+}
+
+func BenchmarkSolveColumnarRefHotspot(b *testing.B) { benchSolveColumnarRef(b, workloads.Hotspot()) }
+func BenchmarkSolveColumnarRefGEMM(b *testing.B)    { benchSolveColumnarRef(b, workloads.GEMM()) }

@@ -124,11 +124,6 @@ func memoize(con *constraint, doms [][]entry, nameIdx map[string]int) (memoCheck
 	return memoCheck{vars: con.vars, sizes: sizes, table: table}, true
 }
 
-// Unsat reports whether the filter's problem carries a constant-false
-// constraint. Such a constraint lowers to no instruction at all, so
-// the caller must not treat an empty program as keep-everything.
-func (rf *RowFilter) Unsat() bool { return rf.unsat }
-
 // RestrictStats reports how one restrict executed.
 type RestrictStats struct {
 	RowsIn   int64

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"searchspace/internal/value"
-)
-
 // ForEach enumerates every valid configuration, invoking yield with the
 // per-variable original-domain indices (problem definition order). The
 // slice is reused between calls; copy it to retain. Return false from
@@ -122,61 +118,5 @@ func (s *Columnar) NumSolutions() int {
 // worker; see SolveColumnarExec.
 func (c *Compiled) SolveColumnar() *Columnar {
 	out, _, _ := c.SolveColumnarExec(Exec{Workers: 1})
-	return out
-}
-
-// SolveTuples enumerates all solutions as rows of values in variable
-// definition order.
-func (p *Problem) solveTuples(c *Compiled) [][]value.Value {
-	var out [][]value.Value
-	c.ForEach(func(idx []int32) bool {
-		row := make([]value.Value, len(idx))
-		for vi, di := range idx {
-			row[vi] = p.domains[vi][di]
-		}
-		out = append(out, row)
-		return true
-	})
-	return out
-}
-
-// SolveMaps enumerates all solutions as name→value maps, the format
-// python-constraint's getSolutions returns. Convenient but the most
-// allocation-heavy format; large spaces should prefer SolveColumnar.
-func (p *Problem) solveMaps(c *Compiled) []map[string]value.Value {
-	var out []map[string]value.Value
-	c.ForEach(func(idx []int32) bool {
-		m := make(map[string]value.Value, len(idx))
-		for vi, di := range idx {
-			m[p.names[vi]] = p.domains[vi][di]
-		}
-		out = append(out, m)
-		return true
-	})
-	return out
-}
-
-// SolveTuples compiles with default options and returns value rows.
-func (p *Problem) SolveTuples() [][]value.Value {
-	return p.solveTuples(p.Compile(DefaultOptions()))
-}
-
-// SolveMaps compiles with default options and returns name→value maps.
-func (p *Problem) SolveMaps() []map[string]value.Value {
-	return p.solveMaps(p.Compile(DefaultOptions()))
-}
-
-// TuplesOf converts columnar output back to value rows; exported for the
-// baselines' cross-validation tests.
-func (p *Problem) TuplesOf(c *Columnar) [][]value.Value {
-	n := c.NumSolutions()
-	out := make([][]value.Value, n)
-	for r := 0; r < n; r++ {
-		row := make([]value.Value, len(c.Cols))
-		for vi := range c.Cols {
-			row[vi] = p.domains[vi][c.Cols[vi][r]]
-		}
-		out[r] = row
-	}
 	return out
 }

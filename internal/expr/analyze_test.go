@@ -18,7 +18,7 @@ func analyzeOne(t *testing.T, src string) []Spec {
 
 // TestAnalyzePaperExample reproduces Figure 1: the compound constraint
 // 2 <= block_size_y <= 32 <= block_size_x * block_size_y <= 1024 must
-// decompose into two unary prefilters, a MinProduct and a MaxProduct.
+// decompose into two unary prefilters, a min-product and a max-product.
 func TestAnalyzePaperExample(t *testing.T) {
 	specs := analyzeOne(t, "2 <= block_size_y <= 32 <= block_size_x * block_size_y <= 1024")
 	if len(specs) != 4 {

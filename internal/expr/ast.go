@@ -69,9 +69,6 @@ var opNames = map[Op]string{
 // Name returns the operator's source spelling.
 func (o Op) Name() string { return opNames[o] }
 
-// IsCmp reports whether o is a comparison (usable in a Compare chain).
-func (o Op) IsCmp() bool { return o >= OpLt }
-
 // Flip returns the comparison with swapped operand order (a < b ⇔ b > a).
 // It panics for non-order comparisons other than Eq/Ne, which are symmetric.
 func (o Op) Flip() Op {

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"searchspace"
-	"searchspace/internal/core"
 	"searchspace/internal/expr"
+	"searchspace/internal/itersolve"
 	"searchspace/internal/model"
 	"searchspace/internal/stats"
 )
@@ -191,28 +191,9 @@ func extrapolateBrute(def *model.Definition, opt Timing) (Timing, error) {
 // behavior, calibrated on a truncated run that extracts 2000 solutions.
 func extrapolateIter(def *model.Definition, opt Timing) Timing {
 	const probe = 2000
-	p, err := def.ToProblem()
-	if err != nil {
-		return Timing{Workload: def.Name, Method: searchspace.IterativeSAT, Skipped: true, Estimated: true}
-	}
-	compiled := p.Compile(core.DefaultOptions())
-	blocked := make(map[string]struct{}, probe)
-	buf := make([]byte, 4*def.NumParams())
 	start := time.Now()
-	for len(blocked) < probe {
-		found := false
-		compiled.ForEach(func(idx []int32) bool {
-			key := packKey(buf, idx)
-			if _, dup := blocked[key]; dup {
-				return true
-			}
-			blocked[key] = struct{}{}
-			found = true
-			return false
-		})
-		if !found {
-			break
-		}
+	if _, _, err := itersolve.Solve(def, probe); err != nil {
+		return Timing{Workload: def.Name, Method: searchspace.IterativeSAT, Skipped: true, Estimated: true}
 	}
 	probeSec := time.Since(start).Seconds()
 	// Quadratic scaling: time(S) ≈ probeSec * (S/probe)².
@@ -227,16 +208,6 @@ func extrapolateIter(def *model.Definition, opt Timing) Timing {
 		Skipped:   true,
 		Estimated: true,
 	}
-}
-
-func packKey(buf []byte, idx []int32) string {
-	for p, di := range idx {
-		buf[4*p] = byte(di)
-		buf[4*p+1] = byte(di >> 8)
-		buf[4*p+2] = byte(di >> 16)
-		buf[4*p+3] = byte(di >> 24)
-	}
-	return string(buf)
 }
 
 // MethodSeries extracts one method's (valid count, seconds) series from a

@@ -16,17 +16,20 @@ import (
 
 // Stats reports the work performed by the blocking-clause enumeration.
 type Stats struct {
-	// Queries is the number of solver invocations (solutions found + 1
-	// final unsatisfiable query).
+	// Queries is the number of solver invocations: one per solution
+	// found, plus the final unsatisfiable query unless a limit ended
+	// the run first.
 	Queries int
 	// Blocked is the number of times a candidate solution was rejected
 	// because it matched an existing blocking clause.
 	Blocked int
 }
 
-// Solve enumerates all valid configurations of def via repeated
-// single-solution queries with blocking clauses.
-func Solve(def *model.Definition) (*core.Columnar, *Stats, error) {
+// Solve enumerates the valid configurations of def via repeated
+// single-solution queries with blocking clauses. A positive limit ends
+// the run once that many solutions are found, the truncated run the
+// harness extrapolates from; 0 enumerates every solution.
+func Solve(def *model.Definition, limit int) (*core.Columnar, *Stats, error) {
 	p, err := def.ToProblem()
 	if err != nil {
 		return nil, nil, err
@@ -44,7 +47,7 @@ func Solve(def *model.Definition) (*core.Columnar, *Stats, error) {
 	stats := &Stats{}
 	blocked := make(map[string]struct{})
 	keyBuf := make([]byte, 0, 4*len(def.Params))
-	for {
+	for limit <= 0 || len(blocked) < limit {
 		stats.Queries++
 		found := false
 		compiled.ForEach(func(idx []int32) bool {
@@ -64,9 +67,10 @@ func Solve(def *model.Definition) (*core.Columnar, *Stats, error) {
 			return false // one solution per query
 		})
 		if !found {
-			return out, stats, nil
+			break
 		}
 	}
+	return out, stats, nil
 }
 
 // packKey encodes the solution's value indices as a compact map key.

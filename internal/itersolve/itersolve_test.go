@@ -34,7 +34,7 @@ func TestMatchesDirectEnumeration(t *testing.T) {
 		},
 		Constraints: []string{"a * b >= 8", "a * b * c <= 96"},
 	}
-	got, stats, err := Solve(def)
+	got, stats, err := Solve(def, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEmptySpace(t *testing.T) {
 		Params:      []model.Param{model.IntsParam("a", 1, 2)},
 		Constraints: []string{"a > 100"},
 	}
-	col, stats, err := Solve(def)
+	col, stats, err := Solve(def, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,47 @@ func TestErrorPropagation(t *testing.T) {
 		Params:      []model.Param{model.IntsParam("a", 1)},
 		Constraints: []string{"a >"},
 	}
-	if _, _, err := Solve(def); err == nil {
+	if _, _, err := Solve(def, 0); err == nil {
 		t.Fatal("syntax error should propagate")
+	}
+}
+
+// TestLimit checks that a limited run returns the unlimited run's first
+// rows, one query per row and no final unsatisfiable query, and that a
+// limit past the space's size changes nothing.
+func TestLimit(t *testing.T) {
+	def := &model.Definition{
+		Name: "limit",
+		Params: []model.Param{
+			model.RangeParam("a", 1, 6),
+			model.RangeParam("b", 1, 6),
+		},
+		Constraints: []string{"a * b <= 12"},
+	}
+	all, _, err := Solve(def, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 5
+	got, stats, err := Solve(def, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSolutions() != limit || stats.Queries != limit {
+		t.Fatalf("solutions=%d queries=%d, want %d and %d", got.NumSolutions(), stats.Queries, limit, limit)
+	}
+	for vi := range all.Cols {
+		for r := 0; r < limit; r++ {
+			if got.Cols[vi][r] != all.Cols[vi][r] {
+				t.Fatalf("col %d row %d: limited %d, unlimited %d", vi, r, got.Cols[vi][r], all.Cols[vi][r])
+			}
+		}
+	}
+	past, _, err := Solve(def, all.NumSolutions()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if past.NumSolutions() != all.NumSolutions() {
+		t.Fatalf("limit past the size: %d solutions, want %d", past.NumSolutions(), all.NumSolutions())
 	}
 }

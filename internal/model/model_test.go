@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"searchspace/internal/core"
 	"searchspace/internal/value"
 )
 
@@ -81,10 +82,9 @@ func TestToProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols := p.SolveTuples()
 	// a in {2,4} with a%b==0 and a>1: (2,2), (4,2), (4,4).
-	if len(sols) != 3 {
-		t.Fatalf("got %d solutions, want 3", len(sols))
+	if n := p.Compile(core.DefaultOptions()).Count(); n != 3 {
+		t.Fatalf("got %d solutions, want 3", n)
 	}
 	bad := &Definition{
 		Name:        "bad",

@@ -1,10 +1,10 @@
 // Package tuner implements the auto-tuning loop used for the paper's
 // end-to-end evaluation (§5.4): optimization strategies that explore a
 // resolved SearchSpace under a time budget, with simulated GPU kernels
-// standing in for real hardware (this environment has no GPU; see
-// DESIGN.md's substitution table). The construction-time measurements are
-// real; only kernel execution time is simulated, which preserves the
-// figures' shape: time spent constructing is time not spent tuning.
+// standing in for real hardware (the models are in kernels.go). The
+// construction-time measurements are real; only kernel execution time
+// is simulated, which preserves the figures' shape: time spent
+// constructing is time not spent tuning.
 //
 // Every strategy exists in two equivalent forms: the classic closed
 // Run loop, and a resumable ask/tell Stepper (propose a batch of

@@ -385,7 +385,7 @@ func construct(def *model.Definition, m Method, ex core.Exec) (*core.Columnar, i
 		}
 		return chain.ToColumnar(), ex.EffectiveWorkers(), none, nil
 	case IterativeSAT:
-		col, _, err := itersolve.Solve(def)
+		col, _, err := itersolve.Solve(def, 0)
 		return col, 1, none, err
 	}
 	return nil, 1, none, fmt.Errorf("searchspace: unknown method %v", m)
